@@ -184,8 +184,8 @@ def _cmd_scale(args, argv):
     if args.action == "forward":
         grid = _parse_grid(args.x_grid)
         fn = {"cdf": forward_cdf, "sf": forward_sf, "pdf": forward_pdf}[args.what]
-        rows = [[float(x), fn(d, args.alpha, args.beta, float(x), mode=args.mode)]
-                for x in grid]
+        vals = fn(d, args.alpha, args.beta, grid, mode=args.mode)
+        rows = [[float(x), float(v)] for x, v in zip(grid, vals)]
         _emit_csv(["x", "value"], rows, man, args.out)
     else:
         plan = (IterationPlan.parse(args.plan) if args.plan

@@ -44,6 +44,8 @@ class QuadratureConfig:
     tail_cut: float = 1e-14   # truncate infinite tails where the integrand is negligible
 
     def check(self, value, err, what):
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise NumericError(f"{what}: non-finite result {value} (error {err})", estimate=value)
         tol = self.atol + self.rtol * abs(value)
         if err > max(tol, 1e-12):
             raise NumericError(
@@ -61,16 +63,7 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _gl_cells(fn, edges, n):
-    """Gauss-Legendre with n nodes on each cell of ``edges``; fn vectorized."""
-    nodes, weights = _gl_nodes(n)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ys = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(fn(ys.ravel()), dtype=float).reshape(ys.shape)
-    return float(np.sum(half[:, None] * (weights[None, :] * vals)))
+_CELL_BLOCK = 1 << 14   # nodes per batch of kernel_integral_cells, bounding its memory
 
 
 def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"):
@@ -81,30 +74,54 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
     u = (y-x)**beta substitution; each resulting cell is handled by fixed
     Gauss-Legendre, with the 8-vs-16-node difference as the error estimate.
     Requires a finite upper limit and 0 < beta <= 1.
+
+    x may be a 1-D array (``fn`` must then not depend on x): the cells of
+    all its points are laid out as one flat batch, evaluated in blocks of
+    whole points of at most ~_CELL_BLOCK nodes each so that memory stays
+    bounded, and an array is returned.  Points are checked against cfg in
+    order; the first failure raises NumericError as ``what`` at that x.
     """
     if not (0.0 < beta <= 1.0) or not math.isfinite(upper):
         raise DomainError("cell integration covers beta in (0,1] and finite range")
-    pts = sorted(k for k in knots if x < k < upper)
-    edges = np.array([x] + pts + [upper])
-    if edges.size < 2 or upper <= x:
-        return 0.0
-    if beta == 1.0:
-        sub_edges = edges
-        g = fn
-        scale = 1.0
-    else:
-        sub_edges = (edges - x) ** beta
-        inv = 1.0 / beta
-
-        def g(u):
-            return np.asarray(fn(x + u ** inv), dtype=float)
-
-        scale = 1.0 / beta
-    coarse = _gl_cells(g, sub_edges, 8)
-    fine = _gl_cells(g, sub_edges, 16)
-    val = scale * math.exp(-sc.gammaln(beta)) * fine
-    err = scale * math.exp(-sc.gammaln(beta)) * abs(fine - coarse)
-    cfg.check(val, err, what)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    knots = np.sort(np.asarray(knots, dtype=float))
+    # right edges: the knots inside (., upper), then upper itself
+    ext = np.append(knots[knots < upper], upper)
+    first = np.searchsorted(ext[:-1], xs, side="right")
+    counts = np.where(xs < upper, ext.size - first, 0)
+    fine = np.zeros(xs.size)
+    coarse = np.zeros(xs.size)
+    cost = np.cumsum(counts) * 24
+    lo = 0
+    while lo < xs.size:
+        spent = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cost, spent + _CELL_BLOCK, side="right")))
+        c = counts[lo:hi]
+        own = np.repeat(np.arange(c.size), c)
+        k = np.arange(own.size) - (np.cumsum(c) - c)[own]
+        xo = xs[lo:hi][own]
+        j = first[lo:hi][own] + k
+        left = np.where(k == 0, xo, ext[np.maximum(j - 1, 0)])
+        right = ext[j]
+        if beta != 1.0:
+            left, right = (left - xo) ** beta, (right - xo) ** beta
+        half = 0.5 * (right - left)
+        mid = 0.5 * (left + right)
+        for n, out in ((8, coarse), (16, fine)):
+            nodes, weights = _gl_nodes(n)
+            u = mid[:, None] + half[:, None] * nodes[None, :]
+            y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
+            vals = np.asarray(fn(y.ravel()), dtype=float).reshape(u.shape)
+            cells = np.sum(half[:, None] * (weights[None, :] * vals), axis=1)
+            out[lo:hi] = np.bincount(own, weights=cells, minlength=c.size)
+        lo = hi
+    scale = (1.0 / beta) * math.exp(-sc.gammaln(beta))
+    val, err = scale * fine, scale * np.abs(fine - coarse)
+    if np.ndim(x) == 0:
+        cfg.check(val[0], err[0], what)
+        return float(val[0])
+    for xj, v, e in zip(xs, val, err):
+        cfg.check(v, e, f"{what} at x={float(xj)}")
     return val
 
 
@@ -121,16 +138,21 @@ def _quad(f, a, b, cfg, points=None):
     # soon as its error estimate meets the request, which can leave the
     # estimate marginally above a loosely-specified target
     kwargs = dict(epsabs=0.01 * cfg.atol, epsrel=0.01 * cfg.rtol, limit=cfg.limit)
-    if points is not None and math.isfinite(b):
-        pts = sorted(p for p in points if a < p < b)
-        if len(pts) > 100:
-            # keep the quadrature affordable; remaining corners are mild (C0 data)
-            step = len(pts) // 100 + 1
-            pts = pts[::step]
-        if pts:
-            kwargs["points"] = pts
-            kwargs["limit"] = max(cfg.limit, 3 * len(pts) + 50)
-    val, err = quad(f, a, b, **kwargs)
+    pts = sorted({p for p in points if a < p < b}) if points is not None else []
+    if len(pts) > 100:
+        # keep the quadrature affordable; remaining corners are mild (C0 data)
+        step = len(pts) // 100 + 1
+        pts = pts[::step]
+    if not pts:
+        return quad(f, a, b, **kwargs)
+    if not math.isfinite(b):
+        # quadpack takes no breakpoints on an infinite range: integrate up to
+        # the last one with the others as breakpoints, then on to infinity
+        head_val, head_err = _quad(f, a, pts[-1], cfg, points=pts[:-1])
+        tail_val, tail_err = quad(f, pts[-1], b, **kwargs)
+        return head_val + tail_val, head_err + tail_err
+    kwargs["limit"] = max(cfg.limit, 3 * len(pts) + 50)
+    val, err = quad(f, a, b, points=pts, **kwargs)
     return val, err
 
 
@@ -147,6 +169,33 @@ def measure_knots(H):
     return pts
 
 
+def _kernel_quad(h, beta, x, upper, cfg, points, what):
+    """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * h(y) dy for beta > 0
+    and a scalar-valued h, by quadpack, checked against cfg as ``what``."""
+    if beta < 1.0:
+        # substitute u = (y - x)**beta; dy = (1/beta) u**(1/beta - 1) du,
+        # (y - x)**(beta - 1) dy = (1/beta) du
+        u_up = math.inf if not math.isfinite(upper) else (upper - x) ** beta
+
+        def g(u):
+            return float(h(x + u ** (1.0 / beta)))
+
+        pts = None if points is None else [(p - x) ** beta for p in points if p > x]
+        val, err = _quad(g, 0.0, u_up, cfg, points=pts)
+        val /= beta
+        err /= beta
+    else:
+        def g(y):
+            return (y - x) ** (beta - 1.0) * float(h(y))
+
+        val, err = _quad(g, x, upper, cfg, points=points)
+
+    val *= math.exp(-sc.gammaln(beta))
+    err *= math.exp(-sc.gammaln(beta))
+    cfg.check(val, err, what)
+    return val
+
+
 def weyl_integral(h, beta, x, upper=math.inf, cfg=None, points=None):
     """(I_beta h)(x) for beta >= 0; ``upper`` truncates the integration range.
 
@@ -159,33 +208,7 @@ def weyl_integral(h, beta, x, upper=math.inf, cfg=None, points=None):
     cfg = cfg or QuadratureConfig()
     if beta == 0.0:
         return float(h(x))
-
-    lg = sc.gammaln(beta)
-
-    if beta < 1.0 and not (beta == 1.0):
-        # substitute u = (y - x)**beta; dy = (1/beta) u**(1/beta - 1) du,
-        # (y - x)**(beta - 1) dy = (1/beta) du
-        u_up = math.inf if not math.isfinite(upper) else (upper - x) ** beta
-
-        def g(u):
-            return float(h(x + u ** (1.0 / beta)))
-
-        pts = None
-        if points is not None:
-            pts = [(p - x) ** beta for p in points if p > x]
-        val, err = _quad(g, 0.0, u_up, cfg, points=pts)
-        val /= beta
-        err /= beta
-    else:
-        def g(y):
-            return (y - x) ** (beta - 1.0) * float(h(y))
-
-        val, err = _quad(g, x, upper, cfg, points=points)
-
-    val *= math.exp(-lg)
-    err *= math.exp(-lg)
-    cfg.check(val, err, f"weyl_integral(beta={beta}, x={x})")
-    return val
+    return _kernel_quad(h, beta, x, upper, cfg, points, f"weyl_integral(beta={beta}, x={x})")
 
 
 def weyl_stieltjes(g, H, beta, x, cfg=None):
@@ -226,31 +249,5 @@ def weyl_stieltjes(g, H, beta, x, cfg=None):
     def h(y):
         return float(g(y)) * float(H.pdf(y))
 
-    lo = max(x, H.lower)
-    if lo > x:
-        # dH vanishes on (x, lo); shift changes nothing but skips a flat span
-        pass
-
-    lg = sc.gammaln(beta)
-    knots = [p for p in measure_knots(H) if p > x]
-    if beta < 1.0:
-        u_up = math.inf if not math.isfinite(upper) else (upper - x) ** beta
-
-        def integrand(u):
-            y = x + u ** (1.0 / beta)
-            return h(y)
-
-        pts = [(p - x) ** beta for p in knots] or None
-        val, err = _quad(integrand, 0.0, u_up, cfg, points=pts)
-        val /= beta
-        err /= beta
-    else:
-        def integrand(y):
-            return (y - x) ** (beta - 1.0) * h(y)
-
-        val, err = _quad(integrand, x, upper, cfg, points=knots or None)
-
-    val *= math.exp(-lg)
-    err *= math.exp(-lg)
-    cfg.check(val, err, f"weyl_stieltjes(beta={beta}, x={x})")
-    return val
+    return _kernel_quad(h, beta, x, upper, cfg, measure_knots(H),
+                        f"weyl_stieltjes(beta={beta}, x={x})")

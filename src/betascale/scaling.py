@@ -21,11 +21,10 @@ import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
 
-from .distributions import Distribution, PointMass, TabulatedCdf
+from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError
-from .fractional import (QuadratureConfig, kernel_integral_cells,
-                         measure_knots, power_weight, weyl_integral,
-                         weyl_stieltjes)
+from .fractional import (QuadratureConfig, kernel_integral_cells, measure_knots,
+                         power_weight, weyl_integral, weyl_stieltjes)
 
 __all__ = [
     "ScalingParams",
@@ -48,12 +47,22 @@ class ScalingParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DomainError("scaling parameters must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise DomainError("scaling parameters must be positive and finite")
 
 
 def _params(alpha, beta):
     return ScalingParams(float(alpha), float(beta))
+
+
+def _points(x, what="evaluation point"):
+    """x as a float array after checking that every entry is finite and positive."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"{what} must be finite")
+    if np.any(xs <= 0):
+        raise DomainError(f"{what} must be positive")
+    return xs
 
 
 def _check_forward_args(H, x):
@@ -61,8 +70,7 @@ def _check_forward_args(H, x):
         raise DomainError("H must be a distribution")
     if H.lower < 0:
         raise DomainError("beta scaling requires a law on [0, inf)")
-    if x <= 0:
-        raise DomainError("evaluation point must be positive")
+    return _points(x)
 
 
 def _const_K(alpha, beta):
@@ -73,111 +81,195 @@ def _support_points(H):
     return measure_knots(H) or None
 
 
-def _mixture_quad(H, alpha, beta, x, evaluator, cfg):
-    """Integral over the beta multiplier via the quantile transform.
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:
+# node, Kronrod weight, weight of the embedded 10-point Gauss rule
+_QK21 = np.array([
+    (0.995657163025808081, 0.011694638867371874, 0.0),
+    (0.973906528517171720, 0.032558162307964727, 0.066671344308688138),
+    (0.930157491355708226, 0.054755896574351996, 0.0),
+    (0.865063366688984511, 0.075039674810919953, 0.149451349150580593),
+    (0.780817726586416897, 0.093125454583697606, 0.0),
+    (0.679409568299024406, 0.109387158802297642, 0.219086362515982044),
+    (0.562757134668604683, 0.123491976262065851, 0.0),
+    (0.433395394129247191, 0.134709217311473326, 0.269266719309996355),
+    (0.294392862701460198, 0.142775938577060081, 0.0),
+    (0.148874338981631211, 0.147739104901338491, 0.295524224714752870),
+    (0.0, 0.149445554002916906, 0.0),
+])
+_GK_X, _GK_WK, _GK_WG = np.concatenate([_QK21 * (-1.0, 1.0, 1.0), _QK21[-2::-1]]).T
+_GK_CHUNK = 1024
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
-    Substituting b = Q_B(u) makes the integrand smooth in u on (0, 1); the
-    only nonsmooth points are where x/b crosses the support endpoints of H,
-    and those are passed to the quadrature as breakpoints.
+
+def _qk21(f, half):
+    """qk21 on rows of node values ``f`` over intervals of half-length
+    ``half`` > 0: (integrals, QUADPACK error estimates)."""
+    resk = f @ _GK_WK
+    resg = f @ _GK_WG
+    resabs = np.abs(f) @ _GK_WK * half
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WK * half
+    err = np.abs(resk - resg) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    # round-off floor
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def _mixture(H, alpha, beta, x, kind, cfg):
+    """E[g(x / B)] for B ~ Beta(alpha, beta) at every x of a 1-D array of
+    points below H.upper, with g = H.cdf ("cdf"), H.sf ("sf") or
+    y -> H.pdf(y) / b ("pdf"): the mixture form of the forward map.
+
+    The substitution b = Q_B(u) makes the integrand smooth in u on (0, 1)
+    except where x/b crosses an endpoint of H's support; those values of u
+    split each point's range into pieces [a, a + w].  On each piece
+    u = a + w * t**2 * (3 - 2t), t in [0, 1]: its flat ends absorb the
+    inverse-square-root singularities a density can leave at a piece end
+    (Beta(1.5, .5) at r_H), which bisection in u cannot resolve to 1e-8 in
+    double precision.
+
+    Adaptive qk21 on all points at once: each piece starts as its two halves
+    in t (one piece when cfg.limit < 6), every round applies the 21-point
+    Gauss-Kronrod rule with QUADPACK's error estimate to the new
+    subintervals of all points (at most _GK_CHUNK per call of the law,
+    bounding memory), and each point still short of max(atol, rtol*|value|)
+    bisects its largest-error subinterval, as QUADPACK does, while it holds
+    fewer than cfg.limit.  Every point is then checked against cfg in grid
+    order; the first failure raises NumericError naming its x.
     """
-    a, b_ = alpha, beta
+    n = x.size
+    cuts = np.ones((n, 2))
+    if math.isfinite(H.upper) and H.upper > 0:
+        cuts[:, 0] = sc.betainc(alpha, beta, np.minimum(x / H.upper, 1.0))
+    if H.lower > 0:
+        inside = x / H.lower <= 1.0
+        cuts[inside, 1] = sc.betainc(alpha, beta, x[inside] / H.lower)
+    cuts[(cuts <= 0.0) | (cuts >= 1.0)] = 1.0
+    edges = np.sort(np.column_stack([np.zeros(n), cuts, np.ones(n)]), axis=1)
+    start, width = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+    keep = width > 0.0
+    start, width = start[keep], width[keep]
+    piece_owner = np.repeat(np.arange(n), 3)[keep]
 
-    def integrand(u):
-        bb = sc.betaincinv(a, b_, u)
-        if bb <= 0.0:
-            return evaluator(math.inf)
-        return evaluator(x / bb)
+    empty = 1.0 if kind == "cdf" else 0.0     # g(inf)
+    law = {"cdf": H.cdf, "sf": H.sf, "pdf": H.pdf}[kind]
 
-    pts = []
-    if math.isfinite(H.upper) and H.upper > 0 and x < H.upper:
-        pts.append(float(sc.betainc(a, b_, min(x / H.upper, 1.0))))
-    if H.lower > 0 and x / H.lower <= 1.0:
-        pts.append(float(sc.betainc(a, b_, x / H.lower)))
-    pts = sorted(p for p in pts if 0.0 < p < 1.0)
-    val, err = quad(integrand, 0.0, 1.0, points=pts or None,
-                    epsabs=cfg.atol, epsrel=cfg.rtol, limit=cfg.limit)
-    cfg.check(val, err, f"mixture quadrature at x={x}")
-    return val
+    def rule(piece, lo, hi):
+        half = 0.5 * (hi - lo)
+        t = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_X
+        w = width[piece][:, None]
+        bb = sc.betaincinv(alpha, beta, start[piece][:, None] + w * t * t * (3.0 - 2.0 * t))
+        with np.errstate(divide="ignore", over="ignore"):
+            y = x[piece_owner[piece]][:, None] / bb
+        finite = np.isfinite(y)
+        vals = np.asarray(law(np.where(finite, y, 1.0).ravel()), dtype=float).reshape(y.shape)
+        if kind == "pdf":
+            vals = vals / np.where(finite, bb, 1.0)
+        return _qk21(np.where(finite, vals, empty) * 6.0 * w * t * (1.0 - t), half)
+
+    def evaluate(piece, lo, hi):
+        out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK])
+               for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
+        return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
+
+    parts = 2 if cfg.limit >= 6 else 1
+    piece = np.repeat(np.arange(start.size), parts)
+    lo = np.tile(np.arange(parts) / parts, start.size)
+    hi = lo + 1.0 / parts
+    value, error = np.zeros(n), np.zeros(n)
+    val, err = evaluate(piece, lo, hi)
+    while piece.size:
+        owner = piece_owner[piece]
+        total = np.bincount(owner, weights=val, minlength=n)
+        etotal = np.bincount(owner, weights=err, minlength=n)
+        short = ((etotal > np.maximum(cfg.atol, cfg.rtol * np.abs(total)))
+                 & (np.bincount(owner, minlength=n) < cfg.limit))
+        # each point's largest-error subinterval leads its run in this order
+        order = np.lexsort((-err, owner))
+        lead = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
+        mid = 0.5 * (lo + hi)
+        # QUADPACK's test for a subinterval too small to split
+        splittable = np.abs(hi) > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
+        split = lead[short[owner[lead]] & splittable[lead]]
+        done = np.ones(n, dtype=bool)
+        done[owner[split]] = False
+        done = done[owner]
+        value += np.bincount(owner[done], weights=val[done], minlength=n)
+        error += np.bincount(owner[done], weights=err[done], minlength=n)
+        stay = ~done
+        stay[split] = False
+        new_piece = np.tile(piece[split], 2)
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_val, new_err = evaluate(new_piece, new_lo, new_hi)
+        piece = np.concatenate([piece[stay], new_piece])
+        lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
+        val, err = np.concatenate([val[stay], new_val]), np.concatenate([err[stay], new_err])
+    what = "mixture density quadrature" if kind == "pdf" else "mixture quadrature"
+    for xi, v, e in zip(x, value, error):
+        cfg.check(v, e, f"{what} at x={float(xi)}")
+    return value
+
+
+def _weyl(H, p, x, kind, cfg):
+    """One point of the fractional-operator form of the forward map, without
+    the constant _const_K: x**alpha * (I_beta p_{-alpha-beta} G)(x) with G =
+    H.cdf or H.sf, or x**(alpha-1) * (J_{beta, p_{1-alpha-beta}} H)(x)."""
+    if kind == "pdf":
+        return x ** (p.alpha - 1.0) * weyl_stieltjes(
+            power_weight(1.0 - p.alpha - p.beta), H, p.beta, x, cfg=cfg)
+    c = p.alpha + p.beta
+    law = H.cdf if kind == "cdf" else H.sf
+    upper = H.upper if kind == "sf" and math.isfinite(H.upper) else math.inf
+
+    def h(y):
+        return y ** (-c) * float(law(y))
+
+    return x ** p.alpha * weyl_integral(h, p.beta, x, upper=upper, cfg=cfg,
+                                        points=_support_points(H))
+
+
+_AT_OR_ABOVE_UPPER = {"cdf": 1.0, "sf": 0.0, "pdf": 0.0}
+
+
+def _forward(H, alpha, beta, x, kind, mode, cfg):
+    p = _params(alpha, beta)
+    xs = _check_forward_args(H, x)
+    if mode not in ("weyl", "mixture"):
+        raise DomainError(f"unknown forward mode {mode!r}")
+    cfg = cfg or QuadratureConfig()
+    flat = xs.ravel()
+    out = np.full(flat.shape, _AT_OR_ABOVE_UPPER[kind])
+    below = flat < H.upper
+    if mode == "mixture":
+        out[below] = _mixture(H, p.alpha, p.beta, flat[below], kind, cfg)
+    else:
+        out[below] = [_const_K(p.alpha, p.beta) * _weyl(H, p, float(v), kind, cfg)
+                      for v in flat[below]]
+    out = (np.maximum(out, 0.0) if kind == "pdf" else np.clip(out, 0.0, 1.0)).reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def forward_cdf(H, alpha, beta, x, mode="weyl", cfg=None):
-    """CDF of B_{alpha,beta} * Y at x; ``mixture`` mode is the independent oracle."""
-    p = _params(alpha, beta)
-    _check_forward_args(H, x)
-    cfg = cfg or QuadratureConfig()
-    if math.isfinite(H.upper) and x >= H.upper:
-        return 1.0
-    if mode == "mixture":
-        val = _mixture_quad(H, p.alpha, p.beta, x,
-                            lambda y: float(H.cdf(y)) if math.isfinite(y) else 1.0, cfg)
-    elif mode == "weyl":
-        c = p.alpha + p.beta
+    """CDF of B_{alpha,beta} * Y at x; ``mixture`` mode is the independent oracle.
 
-        def h(y):
-            return y ** (-c) * float(H.cdf(y))
-
-        val = _const_K(p.alpha, p.beta) * x ** p.alpha * weyl_integral(
-            h, p.beta, x, upper=math.inf, cfg=cfg, points=_support_points(H))
-    else:
-        raise DomainError(f"unknown forward mode {mode!r}")
-    return min(max(val, 0.0), 1.0)
+    x may be an array: the result then has its shape (a float for scalar x),
+    and mixture mode integrates all of its points at once.
+    """
+    return _forward(H, alpha, beta, x, "cdf", mode, cfg)
 
 
 def forward_sf(H, alpha, beta, x, mode="weyl", cfg=None):
-    """Survivor function of B_{alpha,beta} * Y at x."""
-    p = _params(alpha, beta)
-    _check_forward_args(H, x)
-    cfg = cfg or QuadratureConfig()
-    if math.isfinite(H.upper) and x >= H.upper:
-        return 0.0
-    if mode == "mixture":
-        val = _mixture_quad(H, p.alpha, p.beta, x,
-                            lambda y: float(H.sf(y)) if math.isfinite(y) else 0.0, cfg)
-    elif mode == "weyl":
-        c = p.alpha + p.beta
-        upper = H.upper if math.isfinite(H.upper) else math.inf
-
-        def h(y):
-            return y ** (-c) * float(H.sf(y))
-
-        val = _const_K(p.alpha, p.beta) * x ** p.alpha * weyl_integral(
-            h, p.beta, x, upper=upper, cfg=cfg, points=_support_points(H))
-    else:
-        raise DomainError(f"unknown forward mode {mode!r}")
-    return min(max(val, 0.0), 1.0)
+    """Survivor function of B_{alpha,beta} * Y at x (scalar or array, as forward_cdf)."""
+    return _forward(H, alpha, beta, x, "sf", mode, cfg)
 
 
 def forward_pdf(H, alpha, beta, x, mode="weyl", cfg=None):
-    """Density of B_{alpha,beta} * Y at x."""
-    p = _params(alpha, beta)
-    _check_forward_args(H, x)
-    cfg = cfg or QuadratureConfig()
-    if math.isfinite(H.upper) and x >= H.upper:
-        return 0.0
-    if mode == "mixture":
-        a, b_ = p.alpha, p.beta
-
-        def integrand(u):
-            bb = sc.betaincinv(a, b_, u)
-            if bb <= 0.0:
-                return 0.0
-            return float(H.pdf(x / bb)) / bb
-
-        pts = []
-        if math.isfinite(H.upper) and x < H.upper:
-            pts.append(float(sc.betainc(a, b_, min(x / H.upper, 1.0))))
-        if H.lower > 0 and x / H.lower <= 1.0:
-            pts.append(float(sc.betainc(a, b_, x / H.lower)))
-        pts = sorted(q for q in pts if 0.0 < q < 1.0)
-        val, err = quad(integrand, 0.0, 1.0, points=pts or None,
-                        epsabs=cfg.atol, epsrel=cfg.rtol, limit=cfg.limit)
-        cfg.check(val, err, f"mixture density quadrature at x={x}")
-    elif mode == "weyl":
-        val = _const_K(p.alpha, p.beta) * x ** (p.alpha - 1.0) * weyl_stieltjes(
-            power_weight(1.0 - p.alpha - p.beta), H, p.beta, x, cfg=cfg)
-    else:
-        raise DomainError(f"unknown forward mode {mode!r}")
-    return max(val, 0.0)
+    """Density of B_{alpha,beta} * Y at x (scalar or array, as forward_cdf)."""
+    return _forward(H, alpha, beta, x, "pdf", mode, cfg)
 
 
 def forward_tabulated(H, alpha, beta, grid=None, n_points=200, q_max=1e-4,
@@ -198,16 +290,14 @@ def forward_tabulated(H, alpha, beta, grid=None, n_points=200, q_max=1e-4,
             x_hi = min(x_hi, H.upper)
         x_lo = max(x_hi * 1e-4, 1e-8)
         grid = np.geomspace(x_lo, x_hi, n_points)
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([forward_cdf(H, p.alpha, p.beta, float(g), mode=mode, cfg=cfg)
-                     for g in grid])
+    vals = forward_cdf(H, p.alpha, p.beta, grid, mode=mode, cfg=cfg)
     return TabulatedCdf(grid, vals, rectify=True)
 
 
 # ---------------------------------------------------------------------------
 # inversion
 
-def _full_step(F, base, lam, x, cfg):
+def _full_step(F, base, lam, x, cfg, stage=None):
     """Remove one beta factor B_{base, lam} with lam in (0, 1].
 
     If F is the law of B_{base,lam} * Y this returns the survivor of Y at x:
@@ -218,32 +308,53 @@ def _full_step(F, base, lam, x, cfg):
 
     delta = 0 invokes the order-zero conventions, so no numerical
     differentiation is involved: the density term comes from F's own pdf.
+
+    x may be a 1-D array, the grid of an inversion stage.  For tabulated F
+    and 0 < delta <= 1 both integrals of all points run as one batch of
+    cells; other laws, and a batch that fails a check, take the points one
+    at a time, in order, so that the first failure raises NumericError, or
+    StageError naming ``stage`` and that x when a stage is given.
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError("each inversion step removes an amount in (0, 1]")
     delta = 1.0 - lam
     if delta < 1e-12:
         delta = 0.0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     upper = F.upper if math.isfinite(F.upper) else math.inf
+    cells = isinstance(F, TabulatedCdf) and 0.0 < delta <= 1.0
 
-    if isinstance(F, TabulatedCdf) and 0.0 < delta <= 1.0:
-        def sf_vec(y):
-            y = np.asarray(y, dtype=float)
-            return y ** (-base - 1.0) * np.asarray(F.sf(y), dtype=float)
+    def sf_term(y):
+        return y ** (-base - 1.0) * np.asarray(F.sf(y), dtype=float)
 
-        t1 = base * kernel_integral_cells(
-            sf_vec, F.grid, delta, x, upper, cfg,
-            what=f"inversion survivor integral (x={x})")
-    else:
-        def sf_term(y):
-            return y ** (-base - 1.0) * float(F.sf(y))
-
-        t1 = base * weyl_integral(sf_term, delta, x, upper=upper, cfg=cfg,
-                                  points=_support_points(F))
-    t2 = weyl_stieltjes(power_weight(-base), F, delta, x, cfg=cfg)
+    vals = None
+    if cells:
+        try:
+            vals = (base * kernel_integral_cells(sf_term, F.grid, delta, xs, upper, cfg,
+                                                 what="inversion survivor integral")
+                    + kernel_integral_cells(lambda y: y ** -base * F.pdf(y), F.grid, delta,
+                                            xs, upper, cfg, what=f"weyl_stieltjes(beta={delta})"))
+        except NumericError:
+            pass
+    if vals is None:
+        vals = np.empty_like(xs)
+        for j, xj in enumerate(map(float, xs)):
+            try:
+                if cells:
+                    t1 = kernel_integral_cells(sf_term, F.grid, delta, xj, upper, cfg,
+                                               what=f"inversion survivor integral (x={xj})")
+                else:
+                    t1 = weyl_integral(sf_term, delta, xj, upper=upper, cfg=cfg,
+                                       points=_support_points(F))
+                vals[j] = base * t1 + weyl_stieltjes(power_weight(-base), F, delta, xj, cfg=cfg)
+            except NumericError as exc:
+                if stage is None:
+                    raise
+                raise StageError(f"stage {stage} failed at x={xj}: {exc}", stage=stage,
+                                 estimate=exc.estimate) from exc
     K = math.exp(sc.gammaln(base) - sc.gammaln(base + lam))
-    val = K * x ** (base + lam) * (t1 + t2)
-    return min(max(val, 0.0), 1.0)
+    out = np.clip(K * xs ** (base + lam) * vals, 0.0, 1.0)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def invert_onestep(F, alpha, beta, x, cfg=None, allow_higher_order=False):
@@ -317,6 +428,8 @@ class IterationPlan:
 
     def __post_init__(self):
         bps = [float(b) for b in self.breakpoints]
+        if not all(math.isfinite(b) for b in bps):
+            raise DomainError("plan breakpoints must be finite")
         if bps and bps[-1] == 0.0:
             bps = bps[:-1]
         if not bps:
@@ -355,14 +468,14 @@ def invert_iterative(F, alpha, plan, grid, cfg=None, mono_tol=1e-3):
     if not isinstance(plan, IterationPlan):
         plan = IterationPlan(list(plan))
     alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     # the recovered CDF is only accurate to the tabulation error (~1e-3),
     # so the default 1e-10 absolute quadrature floor buys nothing and can
     # fail spuriously deep in the tail of the extended working grid
     cfg = cfg or QuadratureConfig(atol=1e-6, rtol=1e-6)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+    grid = _points(grid, "grid")
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing and positive")
 
     # Work on a denser superset of the query grid.  Intermediate tabulations
@@ -377,14 +490,7 @@ def invert_iterative(F, alpha, plan, grid, cfg=None, mono_tol=1e-3):
     current = F
     targets = plan.breakpoints[1:] + [0.0]
     for i, (lam, target) in enumerate(zip(plan.lams, targets), start=1):
-        base = alpha + target
-        sf_vals = np.empty_like(grid)
-        for j, x in enumerate(grid):
-            try:
-                sf_vals[j] = _full_step(current, base, lam, float(x), cfg)
-            except NumericError as exc:
-                raise StageError(f"stage {i} failed at x={x}: {exc}", stage=i,
-                                 estimate=exc.estimate) from exc
+        sf_vals = _full_step(current, alpha + target, lam, grid, cfg, stage=i)
         cdf_vals = 1.0 - sf_vals
         drops = np.diff(cdf_vals)
         worst = float(-drops.min()) if drops.size else 0.0
@@ -409,21 +515,9 @@ def corollary_check(H, alpha, beta, x, cfg=None):
     p = _params(alpha, beta)
     _check_forward_args(H, x)
     cfg = cfg or QuadratureConfig()
-    lhs = x ** (p.alpha - 1.0) * weyl_stieltjes(
-        power_weight(1.0 - p.alpha - p.beta), H, p.beta, x, cfg=cfg)
-
-    c = p.alpha + p.beta
-
-    def composed(z):
-        def h(y):
-            return y ** (-c) * float(H.cdf(y))
-
-        return z ** p.alpha * weyl_integral(h, p.beta, z, upper=math.inf,
-                                            cfg=cfg, points=_support_points(H))
-
     step = 1e-4 * max(1.0, x)
-    rhs = (composed(x + step) - composed(x - step)) / (2.0 * step)
-    return lhs, rhs
+    rhs = (_weyl(H, p, x + step, "cdf", cfg) - _weyl(H, p, x - step, "cdf", cfg)) / (2.0 * step)
+    return _weyl(H, p, x, "pdf", cfg), rhs
 
 
 def chain_forward(H, params, x, cfg=None):
@@ -433,8 +527,7 @@ def chain_forward(H, params, x, cfg=None):
     the empty chain returns H(x).  Evaluation nests the mixture quadratures
     functionally, with no intermediate tabulation.
     """
-    if x <= 0:
-        raise DomainError("evaluation point must be positive")
+    x = float(_points(x))
     cfg = cfg or QuadratureConfig(atol=1e-11, rtol=1e-10)
     pairs = [(p.alpha, p.beta) if isinstance(p, ScalingParams)
              else (_params(*p).alpha, _params(*p).beta) for p in params]

@@ -1,0 +1,309 @@
+"""The batched mixture engine of the forward map, the whole-grid inversion
+stage, and the finite-input contract of the scaling layer."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from scipy import special as sc
+
+from betascale import (
+    Beta,
+    DomainError,
+    Exponential,
+    Gamma,
+    IterationPlan,
+    NumericError,
+    Pareto,
+    PointMass,
+    QuadratureConfig,
+    Rayleigh,
+    ScalingParams,
+    StageError,
+    Uniform,
+    chain_forward,
+    forward_cdf,
+    forward_pdf,
+    forward_sf,
+    forward_tabulated,
+    invert_iterative,
+)
+from betascale.fractional import kernel_integral_cells, power_weight, weyl_stieltjes
+from betascale.scaling import _full_step
+
+
+def pareto_scaled(x, g=2.0, xmin=1.0, a=2.0, b=0.7):
+    """(sf, pdf) of B_{a,b} * Pareto(g, xmin) at x, on both sides of xmin."""
+    moment = math.exp(sc.betaln(a + g, b) - sc.betaln(a, b))
+    c = min(x / xmin, 1.0)
+    part = (xmin / x) ** g * moment * sc.betainc(a + g, b, c)
+    return part + 1.0 - sc.betainc(a, b, c), g / x * part
+
+
+def uniform_scaled_cdf(x, a=2.0, b=0.7):
+    """CDF of B_{a,b} * Uniform(0, 1) at x (a > 1)."""
+    c = math.exp(sc.betaln(a - 1.0, b) - sc.betaln(a, b))
+    return sc.betainc(a, b, x) + x * c * (1.0 - sc.betainc(a - 1.0, b, x))
+
+
+# ---------------------------------------------------------------------------
+# batched mixture engine against closed forms and weyl mode
+
+def test_mixture_pareto_closed_form_both_sides_of_xmin():
+    xs = np.array([0.3, 0.47, 0.8, 0.99, 1.01, 1.5, 3.0, 8.0])
+    sf = forward_sf(Pareto(2.0, 1.0), 2.0, 0.7, xs, mode="mixture")
+    cdf = forward_cdf(Pareto(2.0, 1.0), 2.0, 0.7, xs, mode="mixture")
+    pdf = forward_pdf(Pareto(2.0, 1.0), 2.0, 0.7, xs, mode="mixture")
+    for x, s, c, d in zip(xs, sf, cdf, pdf):
+        ref_sf, ref_pdf = pareto_scaled(x)
+        assert s == pytest.approx(ref_sf, rel=1e-10, abs=1e-13)
+        assert c == pytest.approx(1.0 - ref_sf, abs=1e-10)
+        assert d == pytest.approx(ref_pdf, rel=1e-9)
+
+
+def test_mixture_uniform_near_origin():
+    # the breakpoint x/r_H sits at u ~ 1e-9 here; the error was 2.4e-6 with
+    # per-point QUADPACK, and x ~ 6.4e-4 raised NumericError
+    xs = np.geomspace(1e-4, 0.99, 40)
+    vals = forward_cdf(Uniform(0.0, 1.0), 2.0, 0.7, xs, mode="mixture")
+    ref = np.array([uniform_scaled_cdf(x) for x in xs])
+    assert np.max(np.abs(vals - ref)) <= 1e-10
+    assert forward_cdf(Uniform(0.0, 1.0), 2.0, 0.7, 6.4e-4, mode="mixture") == pytest.approx(
+        uniform_scaled_cdf(6.4e-4), abs=1e-10)
+    F = forward_tabulated(Uniform(0.0, 1.0), 2.0, 0.7, n_points=240)
+    ref = np.array([uniform_scaled_cdf(x) for x in F.grid])
+    assert np.max(np.abs(F.values - ref)) <= 1e-10
+
+
+def test_mixture_pointmass_is_betainc():
+    xs = np.linspace(0.05, 0.95, 19)
+    for a, b in [(2.0, 3.0), (1.0, 0.5), (3.0, 1.7)]:
+        cdf = forward_cdf(PointMass(1.0), a, b, xs, mode="mixture")
+        sf = forward_sf(PointMass(1.0), a, b, xs, mode="mixture")
+        assert np.max(np.abs(cdf - sc.betainc(a, b, xs))) <= 1e-10
+        assert np.max(np.abs(sf - sc.betaincc(a, b, xs))) <= 1e-10
+
+
+def test_mixture_beta_density_singular_at_upper_end():
+    # Beta(1.5, .5) has an inverse-square-root density at 1; scaled by
+    # B(1, .5) it becomes Uniform(0, 1)
+    xs = np.array([0.05, 0.2, 0.5, 0.9])
+    pdf = forward_pdf(Beta(1.5, 0.5), 1.0, 0.5, xs, mode="mixture")
+    cdf = forward_cdf(Beta(1.5, 0.5), 1.0, 0.5, xs, mode="mixture")
+    assert np.max(np.abs(pdf - 1.0)) <= 1e-7
+    assert np.max(np.abs(cdf - xs)) <= 1e-9
+
+
+@pytest.mark.parametrize("H,a,b,xs", [
+    (Exponential(1.0), 2.0, 0.7, (0.05, 0.5, 1.5, 4.0)),
+    (Rayleigh(1.0), 1.0, 1.6, (0.1, 0.8, 2.5)),
+    (Gamma(2.5, 1.5), 2.0, 0.5, (0.2, 1.0, 5.0)),
+    (Beta(2.0, 2.0), 1.5, 0.5, (0.05, 0.4, 0.95)),
+    (Pareto(2.0, 1.0), 1.0, 0.5, (0.5, 3.0)),
+])
+def test_mixture_matches_weyl(H, a, b, xs):
+    xs = np.asarray(xs)
+    for fn, tol in ((forward_cdf, 1e-8), (forward_sf, 1e-8), (forward_pdf, 1e-6)):
+        mix = fn(H, a, b, xs, mode="mixture")
+        weyl = fn(H, a, b, xs, mode="weyl")
+        assert np.max(np.abs(mix - weyl)) <= tol
+
+
+def test_mixture_relative_accuracy_in_far_tail():
+    # the tails layer's configuration: no absolute floor
+    cfg = QuadratureConfig(atol=1e-300, rtol=1e-9)
+    for x in (8.0, 30.0, 100.0):
+        ref_sf, ref_pdf = pareto_scaled(x)
+        assert forward_sf(Pareto(2.0, 1.0), 2.0, 0.7, x, mode="mixture", cfg=cfg) == pytest.approx(
+            ref_sf, rel=1e-9)
+        assert forward_pdf(Pareto(2.0, 1.0), 2.0, 0.7, x, mode="mixture", cfg=cfg) == pytest.approx(
+            ref_pdf, rel=1e-9)
+    # Exponential * Uniform: sf(x) = E_2(x) exactly
+    for x in (20.0, 30.0):
+        assert forward_sf(Exponential(1.0), 1.0, 1.0, x, mode="mixture", cfg=cfg) == pytest.approx(
+            float(sc.expn(2, x)), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# array contract
+
+@pytest.mark.parametrize("mode", ["mixture", "weyl"])
+def test_array_in_array_out(mode):
+    H = Exponential(1.0)
+    xs = np.array([[0.2, 0.7, 1.3], [2.0, 3.5, 6.0]])
+    for fn in (forward_cdf, forward_sf, forward_pdf):
+        out = fn(H, 2.0, 0.7, xs, mode=mode)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        # each point is integrated on its own: batching changes no value
+        singles = [fn(H, 2.0, 0.7, float(x), mode=mode) for x in xs.ravel()]
+        assert all(type(v) is float for v in singles)
+        assert out.ravel() == pytest.approx(singles, rel=1e-14, abs=0.0)
+        assert fn(H, 2.0, 0.7, [1.0], mode=mode).shape == (1,)
+
+
+def test_array_points_at_or_above_upper_end():
+    xs = np.array([0.5, 1.0, 1.7])
+    assert forward_cdf(Uniform(0.0, 1.0), 1.0, 1.0, xs, mode="mixture")[1:].tolist() == [1.0, 1.0]
+    assert forward_sf(Uniform(0.0, 1.0), 1.0, 1.0, xs, mode="mixture")[1:].tolist() == [0.0, 0.0]
+    assert forward_pdf(Uniform(0.0, 1.0), 1.0, 1.0, xs, mode="weyl")[1:].tolist() == [0.0, 0.0]
+
+
+def test_mixture_failure_names_first_failing_x():
+    cfg = QuadratureConfig(limit=1)
+    with pytest.raises(NumericError, match=r"mixture quadrature at x=0\.5:") as err:
+        forward_cdf(Exponential(1.0), 1.0, 0.5, [0.5, 1.0, 2.0], mode="mixture", cfg=cfg)
+    assert err.value.estimate is not None
+    with pytest.raises(NumericError, match=r"mixture density quadrature at x=1\.0:"):
+        forward_pdf(Exponential(1.0), 1.0, 0.5, [1.0, 2.0], mode="mixture", cfg=cfg)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid inversion stage
+
+def _tabulated():
+    return forward_tabulated(Exponential(1.0), 1.0, 1.5, n_points=120)
+
+
+def _cells_reference(fn, knots, beta, x, upper):
+    """One point of kernel_integral_cells, written as a loop over the two rules:
+    (value, error estimate)."""
+    pts = sorted(k for k in knots if x < k < upper)
+    edges = np.array([x] + pts + [upper])
+    sub = edges if beta == 1.0 else (edges - x) ** beta
+    a, b = sub[:-1], sub[1:]
+    sums = []
+    for n in (8, 16):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes
+        y = u if beta == 1.0 else x + u ** (1.0 / beta)
+        sums.append(np.sum(0.5 * (b - a)[:, None] * weights * fn(y)))
+    scale = math.exp(-sc.gammaln(beta)) / beta
+    return scale * sums[1], scale * abs(sums[1] - sums[0])
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.75, 1.0])
+def test_kernel_integral_cells_on_a_grid_matches_per_point_loop(beta):
+    F = _tabulated()
+    fn = lambda y: y ** -2.5 * F.sf(y)
+    xs = np.concatenate([np.geomspace(1e-3, 0.9 * F.upper, 60), [F.upper, 2.0 * F.upper]])
+    loose = QuadratureConfig(atol=1.0)
+    vals = kernel_integral_cells(fn, F.grid, beta, xs, F.upper, loose)
+    refs = [_cells_reference(fn, F.grid, beta, x, F.upper) if x < F.upper else (0.0, 0.0)
+            for x in xs]
+    for x, v, (ref_v, _) in zip(xs, vals, refs):
+        assert v == pytest.approx(ref_v, rel=1e-13, abs=1e-300)
+        single = kernel_integral_cells(fn, F.grid, beta, float(x), F.upper, loose)
+        assert type(single) is float and single == pytest.approx(v, rel=1e-13, abs=1e-300)
+    # the batch checks every point in order against its own error estimate
+    tight = QuadratureConfig(atol=float(np.median([e for _, e in refs])), rtol=0.0)
+    bad = [x for x, (v, e) in zip(xs, refs) if e > max(tight.atol + tight.rtol * abs(v), 1e-12)]
+    assert bad
+    with pytest.raises(NumericError, match=rf"^probe at x={bad[0]}:"):
+        kernel_integral_cells(fn, F.grid, beta, xs, F.upper, tight, what="probe")
+
+
+@pytest.mark.parametrize("base,lam", [(1.5, 0.5), (1.0, 0.75), (2.0, 0.2)])
+def test_whole_grid_step_matches_per_point_step(base, lam):
+    F = _tabulated()
+    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    grid = np.union1d(np.geomspace(1e-3, 6.0, 40), F.grid[::7])
+    batched = _full_step(F, base, lam, grid, cfg)
+    single = np.array([_full_step(F, base, lam, float(x), cfg) for x in grid])
+    assert np.max(np.abs(batched - single)) <= 1e-13
+    # the per-point formula through the public operators
+    delta = 1.0 - lam
+    sf_term = lambda y: y ** (-base - 1.0) * F.sf(y)
+    ref = [min(1.0, math.exp(sc.gammaln(base) - sc.gammaln(base + lam)) * x ** (base + lam)
+               * (base * kernel_integral_cells(sf_term, F.grid, delta, x, F.upper, cfg)
+                  + weyl_stieltjes(power_weight(-base), F, delta, x, cfg=cfg)))
+           for x in grid]
+    assert np.max(np.abs(batched - np.maximum(ref, 0.0))) <= 1e-13
+
+
+def test_whole_grid_step_per_point_paths():
+    # delta = 0 and analytic laws take the points one at a time
+    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    grid = np.array([0.1, 0.5, 2.0])
+    for F, lam in ((_tabulated(), 1.0), (Exponential(1.0), 0.5)):
+        ref = [_full_step(F, 1.0, lam, float(x), cfg) for x in grid]
+        assert _full_step(F, 1.0, lam, grid, cfg) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+class _FailAt(QuadratureConfig):
+    """Fails every tolerance check of the integral named ``term`` at each x of
+    ``xs``, whether the stage checks it in its batch or point by point."""
+
+    def __init__(self, **failing):
+        super().__init__(atol=1e-6, rtol=1e-6)
+        self.failing = failing
+
+    def check(self, value, err, what):
+        for term, xs in self.failing.items():
+            if what.startswith(term) and any(re.search(rf"x={x}\b", what) for x in xs):
+                raise NumericError(f"{what}: forced", estimate=value)
+        super().check(value, err, what)
+
+
+def test_stage_error_names_stage_and_x():
+    F = _tabulated()
+    grid = np.geomspace(0.01, 5.0, 30)
+    plan = IterationPlan((1.5, 0.7))     # stage 1 has delta 0.2, stage 2 delta 0.3
+    work = invert_iterative(F, 1.0, plan, grid).grid
+    x = float(work[len(work) // 2])
+    with pytest.raises(StageError, match=rf"stage 2 failed at x={x}: weyl_stieltjes") as err:
+        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(**{"weyl_stieltjes(beta=0.3": [x]}))
+    assert err.value.stage == 2 and err.value.estimate is not None
+    with pytest.raises(StageError, match=rf"stage 1 failed at x={x}: inversion survivor") as err:
+        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(**{"inversion survivor": [x]}))
+    assert err.value.stage == 1
+
+
+def test_stage_error_first_x_in_grid_order():
+    # the batch checks all survivor integrals before the density integrals;
+    # the error must still name the first failing x in grid order
+    F = _tabulated()
+    grid = np.geomspace(0.01, 5.0, 30)
+    cfg = _FailAt(**{"inversion survivor": [grid[20]], "weyl_stieltjes": [grid[7]]})
+    with pytest.raises(StageError, match=rf"stage 1 failed at x={grid[7]}: weyl_stieltjes") as err:
+        invert_iterative(F, 1.0, IterationPlan((0.5,)), grid, cfg=cfg)
+    assert err.value.stage == 1
+
+
+# ---------------------------------------------------------------------------
+# finite inputs
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5),
+                                        (1.0, math.inf)])
+def test_nonfinite_scaling_parameters_rejected(alpha, beta):
+    with pytest.raises(DomainError):
+        ScalingParams(alpha, beta)
+    for mode in ("weyl", "mixture"):
+        with pytest.raises(DomainError):
+            forward_cdf(Exponential(1.0), alpha, beta, 1.0, mode=mode)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, [1.0, math.nan], [0.5, math.inf], [1.0, -1.0]])
+def test_nonfinite_points_rejected(x):
+    for fn in (forward_cdf, forward_sf, forward_pdf):
+        for mode in ("weyl", "mixture"):
+            with pytest.raises(DomainError):
+                fn(Exponential(1.0), 1.0, 0.5, x, mode=mode)
+    with pytest.raises(DomainError):
+        chain_forward(Exponential(1.0), [(1.0, 0.5)], x if np.ndim(x) == 0 else math.nan)
+
+
+def test_nonfinite_plan_and_inversion_inputs_rejected():
+    for bps in ([math.nan], [1.5, math.nan], [math.inf]):
+        with pytest.raises(DomainError):
+            IterationPlan(bps)
+    F = _tabulated()
+    with pytest.raises(DomainError):
+        invert_iterative(F, math.nan, IterationPlan((0.5,)), [0.5, 1.0])
+    with pytest.raises(DomainError):
+        invert_iterative(F, 1.0, IterationPlan((0.5,)), [0.5, math.nan, 1.0])
+
+
+def test_nonfinite_quadrature_result_raises():
+    with pytest.raises(NumericError, match="non-finite"):
+        QuadratureConfig().check(math.nan, 0.0, "probe")
