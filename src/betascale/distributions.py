@@ -142,10 +142,7 @@ class ScalingFunction:
         """max over t in [-t_span, t_span] of |w(x + t/w(x))/w(x) - 1|."""
         w0 = float(self(x))
         ts = np.linspace(-t_span, t_span, n)
-        dev = 0.0
-        for t in ts:
-            dev = max(dev, abs(float(self(x + t / w0)) / w0 - 1.0))
-        return dev
+        return float(np.max(np.abs(np.asarray(self(x + ts / w0), dtype=float) / w0 - 1.0)))
 
 
 @dataclass
@@ -245,6 +242,25 @@ def _as_float(x, fn):
     out = fn(np.asarray(x, dtype=float))
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
+
+
+def _bisect(right_of, lo, hi, width):
+    """Bisection of all points at once: while hi - lo > width(hi), a point's
+    lo moves to the midpoint x where right_of(x, index) holds, its hi where
+    not.  Returns the final midpoints; lo = hi returns that value."""
+    out = np.empty(lo.size)
+    live = np.arange(lo.size)
+    while True:
+        done = ~(hi - lo > width(hi))
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            live, lo, hi = live[~done], lo[~done], hi[~done]
+        if not live.size:
+            return out
+        mid = 0.5 * (lo + hi)
+        right = right_of(mid, live)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
 
 
 class Uniform(Distribution):
@@ -491,42 +507,40 @@ class Kotz(Distribution):
 
         return _as_float(x, f)
 
+    def _tail_root(self, target):
+        """The x past x0 with log sf(x) = target, for an array of targets (x0
+        where target >= 0, inf where it is -inf): bracket doubling, then
+        bisection of all points at once to brentq's tolerance (xtol 1e-13,
+        rtol 8.9e-16)."""
+        t = target.ravel()
+        lo = np.where(t >= 0.0, self.x0, np.where(t == -np.inf, np.inf, np.nan))
+        hi = lo.copy()
+        up = np.flatnonzero(np.isfinite(t) & (t < 0.0))
+        lo[up] = self.x0
+        hi[up] = max(1.0, 2.0 * self.x0 + 1.0)
+        log_m = math.log(self.m)
+
+        def right_of(x, i):
+            return log_m + self.n_exp * np.log(x) - self.r * x ** self.theta > t[i]
+
+        while up.size:
+            up = up[right_of(hi[up], up)]
+            lo[up] = hi[up]
+            hi[up] *= 2.0
+        out = _bisect(right_of, lo, hi, lambda h: 1e-13 + 8.9e-16 * np.abs(h))
+        return float(out[0]) if target.ndim == 0 else out.reshape(target.shape)
+
     def quantile(self, q):
         if self.m == 1.0 and self.n_exp == 0.0:
             return _as_float(q, lambda u: (-np.log1p(-u) / self.r) ** (1.0 / self.theta))
-
-        def one(u):
-            if u <= 0.0:
-                return self.x0
-            target = math.log1p(-u)
-            hi = max(1.0, 2.0 * self.x0 + 1.0)
-            while self._log_tail(hi) > target:
-                hi *= 2.0
-            return brentq(lambda v: self._log_tail(v) - target, self.x0 + 1e-300, hi,
-                          xtol=1e-13, rtol=8.9e-16)
-
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            return one(float(q))
-        return np.array([one(u) for u in q.ravel()]).reshape(q.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._tail_root(np.log1p(-np.asarray(q, dtype=float)))
 
     def isf(self, s):
-        def one(v):
-            if v >= 1.0:
-                return self.x0
-            target = math.log(v)
-            hi = max(1.0, 2.0 * self.x0 + 1.0)
-            while self._log_tail(hi) > target:
-                hi *= 2.0
-            return brentq(lambda r: self._log_tail(r) - target, self.x0 + 1e-300, hi,
-                          xtol=1e-13, rtol=8.9e-16)
-
         if self.m == 1.0 and self.n_exp == 0.0:
             return _as_float(s, lambda v: (-np.log(v) / self.r) ** (1.0 / self.theta))
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return one(float(s))
-        return np.array([one(v) for v in s.ravel()]).reshape(s.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._tail_root(np.log(np.asarray(s, dtype=float)))
 
     def mda(self):
         return MdaClass("gumbel", w=ScalingFunction.power(self.r, self.theta))
@@ -597,24 +611,17 @@ class TabulatedCdf(Distribution):
         return _as_float(x, f)
 
     def quantile(self, q):
-        def one(u):
-            if u <= self.values[0]:
-                return self.grid[0]
-            if u >= self.values[-1]:
-                return self.grid[-1]
-            lo, hi = self.grid[0], self.grid[-1]
-            while hi - lo > 1e-10 * max(1.0, abs(hi)):
-                mid = 0.5 * (lo + hi)
-                if self._interp(mid) < u:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
+        """Bisection on the interpolant, all points at once, each until
+        hi - lo <= 1e-10 * max(1, |hi|)."""
         q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            return one(float(q))
-        return np.array([one(u) for u in q.ravel()]).reshape(q.shape)
+        u = q.ravel()
+        end = np.where(u <= self.values[0], self.grid[0],
+                       np.where(u >= self.values[-1], self.grid[-1], np.nan))
+        inside = (u > self.values[0]) & (u < self.values[-1])
+        out = _bisect(lambda x, i: self._interp(x) < u[i],
+                      np.where(inside, self.grid[0], end), np.where(inside, self.grid[-1], end),
+                      lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     def mda(self):
         return _classify_tabulated(self)

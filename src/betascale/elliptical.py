@@ -67,9 +67,9 @@ def sample_elliptical(m: EllipticalModel, n, seed, stream=0):
 # point conditioning
 
 def _h2(m: EllipticalModel, z):
-    """Density of R**2 at z (z > 0)."""
-    rz = math.sqrt(z)
-    return float(m.radial.pdf(rz)) / (2.0 * rz)
+    """Density of R**2 at z (z > 0), for a scalar or an array."""
+    rz = np.sqrt(z)
+    return np.asarray(m.radial.pdf(rz), dtype=float) / (2.0 * rz)
 
 
 def _point_normalizer(m: EllipticalModel, s, cfg):
@@ -109,16 +109,11 @@ def conditional_density_point(m: EllipticalModel, x, t, w=None, cfg=None):
         raise DomainError("scaling function must be positive at x")
     norm = _point_normalizer(m, s, cfg)
     t = np.asarray(t, dtype=float)
-
-    def one(tv):
-        z = s + tv * tv / c2
-        if math.isfinite(m.radial.upper) and z >= m.radial.upper ** 2:
-            return 0.0
-        return _h2(m, z) / (math.sqrt(c2) * norm)
-
-    if t.ndim == 0:
-        return one(float(t))
-    return np.array([one(tv) for tv in t.ravel()]).reshape(t.shape)
+    z = s + t * t / c2
+    dens = _h2(m, z) / (math.sqrt(c2) * norm)
+    if math.isfinite(m.radial.upper):
+        dens = np.where(z >= m.radial.upper ** 2, 0.0, dens)
+    return float(dens) if dens.ndim == 0 else dens
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +137,37 @@ def _half_width(level, r):
     if ratio <= -1.0:
         return math.pi
     return math.acos(ratio)
+
+
+def _half_widths(level, r):
+    """_half_width over an array of radii."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.arccos(np.clip(level / r, -1.0, 1.0))
+    return np.where(r > 0.0, a, math.pi if level < 0 else 0.0)
+
+
+def _importance_draws(m: EllipticalModel, x, n, rng):
+    """(r, a, v): n radii drawn from R | R > x, the half-widths a of their
+    arcs {phi: r*cos(phi) > x}, and V at an angle uniform inside each arc.
+    A draw stands for mass proportional to a; draws with an empty arc are
+    dropped."""
+    sx = float(m.radial.sf(x))
+    if sx <= 0.0:
+        raise DomainError("conditioning event has probability below floating-point range")
+    # R | R > x on the survivor scale: sf(R) uniform on (0, sf(x)).  Inverting
+    # the cdf instead would collapse once sf(x) drops under machine epsilon.
+    u = rng.random(n)
+    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    r = np.asarray(m.radial.isf(sx * u), dtype=float)
+    a = _half_widths(x, r)
+    ok = a > 0
+    r, a = r[ok], a[ok]
+    if r.size == 0:
+        raise NumericError("no usable radii in importance sample; lower x")
+    phi = (2.0 * rng.random(r.size) - 1.0) * a
+    v = r * (m.rho * np.cos(phi) + math.sqrt(1.0 - m.rho ** 2) * np.sin(phi))
+    return r, a, v
 
 
 def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
@@ -189,7 +215,6 @@ def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
     """Monte Carlo estimate; switches to radius-importance sampling when the
     conditioning probability is too small for plain rejection."""
     p_exceed = _u_exceed_prob(m, x)
-    rho_c = math.sqrt(1.0 - m.rho ** 2)
     if p_exceed >= 1e-4:
         pairs = sample_elliptical(m, n, seed)
         keep = pairs[:, 0] > x
@@ -200,27 +225,13 @@ def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
         se = math.sqrt(max(est * (1 - est), 1e-12) / kept)
         return est, se
     # importance: draw R | R > x, then the angle uniformly inside its arc
-    rng = make_rng(seed, stream=1)
-    sx = float(m.radial.sf(x))
-    if sx <= 0.0:
-        raise DomainError("conditioning event has probability below floating-point range")
-    # R | R > x on the survivor scale: sf(R) uniform on (0, sf(x)).  Inverting
-    # the cdf instead would collapse once sf(x) drops under machine epsilon.
-    u = rng.random(n)
-    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    r = np.asarray(m.radial.isf(sx * u), dtype=float)
-    a = np.array([_half_width(x, rv) for rv in r])
-    ok = a > 0
-    r, a = r[ok], a[ok]
-    if r.size == 0:
-        raise NumericError("no usable radii in importance sample; lower x")
-    phi = (2.0 * rng.random(r.size) - 1.0) * a
-    v = r * (m.rho * np.cos(phi) + rho_c * np.sin(phi))
-    wgt = a   # each draw represents mass proportional to its arc width
-    num = float(np.sum(wgt * (v > y)))
-    den = float(np.sum(wgt))
-    est = num / den
-    se = math.sqrt(max(np.sum((wgt / den) ** 2 * (1.0 - est) ** 2), 1e-16))
+    _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=1))
+    # each draw represents mass proportional to its arc width a
+    hit = v > y
+    den = float(np.sum(a))
+    est = float(np.sum(a * hit)) / den
+    # self-normalised weights w = a/den: var = sum w**2 (1{v > y} - est)**2
+    se = math.sqrt(max(float(np.sum((a / den) ** 2 * (hit - est) ** 2)), 1e-16))
     return est, se
 
 
@@ -282,26 +293,13 @@ def convergence_diagnostic(m: EllipticalModel, x_grid, t_grid=None,
     for ix, x in enumerate(np.asarray(x_grid, dtype=float)):
         cx = math.sqrt(float(w(x)) / x)
         # exceedance side: weighted sample of V given U > x
-        rng = make_rng(seed, stream=100 + ix)
-        sx = float(m.radial.sf(x))
-        u = rng.random(n)
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-        r = np.asarray(m.radial.isf(sx * u), dtype=float)
-        a = np.array([_half_width(x, rv) for rv in r])
-        ok = a > 0
-        r, a = r[ok], a[ok]
-        phi = (2.0 * rng.random(r.size) - 1.0) * a
-        v = r * (m.rho * np.cos(phi) + rho_c * np.sin(phi))
+        _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=100 + ix))
         z = cx * (v - m.rho * x) / rho_c
         order = np.argsort(z)
         z_sorted = z[order]
-        cw = np.cumsum(a[order])
-        cw /= cw[-1]
-        sup = 0.0
-        for t in t_grid:
-            emp = float(cw[np.searchsorted(z_sorted, t, side="right") - 1]) \
-                if z_sorted[0] <= t else 0.0
-            sup = max(sup, abs(emp - float(sc.ndtr(t))))
+        cw = np.concatenate(([0.0], np.cumsum(a[order])))   # weight of z <= t
+        emp = cw[np.searchsorted(z_sorted, t_grid, side="right")] / cw[-1]
+        sup = float(np.max(np.abs(emp - sc.ndtr(t_grid)), initial=0.0))
         exceed_sup.append(sup)
         # point side: integrate the exact conditional density
         dens = conditional_density_point(m, x, t_grid, w=w)

@@ -99,65 +99,60 @@ class PipelineResult:
 # ---------------------------------------------------------------------------
 # Kendall's tau
 
-def _merge_count(a):
-    """Number of strict inversions (a[i] > a[j], i < j), by merge sort."""
-    a = list(a)
-    n = len(a)
-    buf = [0.0] * n
+def _tied_pairs(counts):
+    """Number of pairs sharing a value, from the count of each value."""
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def _inversions(ranks):
+    """Number of strict inversions (ranks[i] > ranks[j], i < j) of integer
+    ranks in [0, n), by bottom-up merge levels (n < 2**31).
+
+    Each level sorts every pair of sorted blocks at once, as keys (pair,
+    rank, side).  An element of a right block moves left by the number of
+    larger elements of its left block, which are its inversions across the
+    two blocks; equal ranks keep the left block first.
+    """
+    n = len(ranks)
+    bits = max(int(n - 1).bit_length(), 1)
+    pos = np.arange(n, dtype=np.int64)
+    ranks2 = np.asarray(ranks, dtype=np.int64) << 1
+    key = np.empty(n, dtype=np.int64)
+    side = np.empty(n, dtype=np.int64)
     count = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[j] < a[i]:
-                    count += mid - i
-                    buf[k] = a[j]
-                    j += 1
-                else:
-                    buf[k] = a[i]
-                    i += 1
-                k += 1
-            buf[k:hi] = a[i:mid] if i < mid else a[j:hi]
-            a[lo:hi] = buf[lo:hi]
-        width *= 2
+    s = 0
+    while (1 << s) < n:
+        np.right_shift(pos, s, out=side)
+        side &= 1                                    # 1 in right blocks
+        np.right_shift(pos, s + 1, out=key)
+        key <<= bits + 1
+        key |= ranks2
+        key |= side
+        key.sort()
+        count += int(pos @ side)                     # positions before the merge ...
+        np.bitwise_and(key, 1, out=side)
+        count -= int(pos @ side)                     # ... minus positions after it
+        np.bitwise_and(key, ((1 << bits) - 1) << 1, out=ranks2)
+        s += 1
     return count
-
-
-def _tie_pairs(keys):
-    """Number of pairs sharing a key, keys sorted."""
-    total = 0
-    run = 1
-    for prev, cur in zip(keys, keys[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
 
 
 def kendall_rho(batch: SampleBatch):
     """(tau, rho): tau with ties counted as zero, rho = sin(pi*tau/2)."""
     n = batch.n
-    order = np.lexsort((batch.v, batch.u))
-    u = batch.u[order]
-    v = batch.v[order]
     n0 = n * (n - 1) // 2
-    t_u = _tie_pairs(u.tolist())
-    if t_u == n0:
+    _, ru, cu = np.unique(batch.u, return_inverse=True, return_counts=True)
+    if cu.size == 1:
         raise DomainError("Kendall's tau undefined: all u values tied")
-    t_v = _tie_pairs(np.sort(batch.v).tolist())
-    t_uv = _tie_pairs(list(zip(u.tolist(), v.tolist())))
-    if t_v == n0:
+    _, rv, cv = np.unique(batch.v, return_inverse=True, return_counts=True)
+    if cv.size == 1:
         raise DomainError("Kendall's tau undefined: all v values tied")
-    # v is sorted within u-ties, so strict inversions are exactly the
+    # distinct (u, v) pairs in (u, v) order, with their counts: v is sorted
+    # within u-ties, so strict inversions of its ranks are exactly the
     # discordant pairs; concordant = n0 - ties - discordant
-    disc = _merge_count(v.tolist())
-    ties = t_u + t_v - t_uv
+    key, cuv = np.unique(ru * n + rv, return_counts=True)
+    disc = _inversions(np.repeat(key % n, cuv))
+    ties = _tied_pairs(cu) + _tied_pairs(cv) - _tied_pairs(cuv)
     tau = (n0 - ties - 2 * disc) / n0
     rho = math.sin(math.pi * tau / 2.0)
     return tau, rho
@@ -186,7 +181,7 @@ def _top_order_stats(radii, k):
     k = min(k, n - 1)
     if k < 1:
         raise DomainError("too few positive radii for the requested k_n")
-    top = np.sort(pos)[-k:]             # R_{n-k+1:n} .. R_{n:n} ascending
+    top = np.sort(np.partition(pos, n - k)[n - k:])   # R_{n-k+1:n} .. R_{n:n} ascending
     return top, n, k, dropped
 
 
@@ -204,16 +199,11 @@ def gg_theta(radii, k_n):
     base = math.log(n / k)
     if base <= 0.0:
         raise DomainError("k_n too large: need k_n < n")
-    m_sum = 0.0
-    t_sum = 0.0
-    kept = 0
-    for i in range(1, k + 1):
-        li = math.log(n / i)
-        if li <= 1.0:
-            continue
-        m_sum += math.log(top[k - i]) - pivot_log
-        t_sum += math.log(li) - math.log(base)
-        kept += 1
+    log_ratio = np.log(n / np.arange(1, k + 1))      # log(n/i), i = 1..k
+    keep = log_ratio > 1.0
+    kept = int(np.sum(keep))
+    m_sum = float(np.sum(np.log(top[::-1][keep]) - pivot_log))
+    t_sum = float(np.sum(np.log(log_ratio[keep]) - math.log(base)))
     if kept == 0 or m_sum <= 0.0:
         raise NumericError("degenerate tail: top order statistics coincide")
     return (t_sum / kept) / (m_sum / kept)
@@ -224,10 +214,7 @@ def r_hat(radii, theta, k_n):
     if theta <= 0:
         raise DomainError("theta must be positive")
     top, n, k, dropped = _top_order_stats(radii, k_n)
-    total = 0.0
-    for i in range(1, k + 1):
-        total += math.log(n / i) / top[k - i] ** theta
-    val = total / k
+    val = float(np.sum(np.log(n / np.arange(1, k + 1)) / top[::-1] ** theta)) / k
     if val <= 0:
         raise NumericError("nonpositive scale estimate")
     return val
