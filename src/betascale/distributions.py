@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoDensityError
@@ -178,7 +178,7 @@ class WeibullTailModel:
 
     def quantile(self, q):
         """Exact quantile when the o(1) correction vanishes."""
-        return (-np.log1p(-np.asarray(q, dtype=float)) / self.r) ** (1.0 / self.theta)
+        return (-np.log1p(-_probabilities(q)) / self.r) ** (1.0 / self.theta)
 
     def scaling_w(self):
         return ScalingFunction.power(self.r, self.theta)
@@ -210,7 +210,7 @@ class Distribution:
         """Inverse survivor: the x with sf(x) = s.  The default goes through
         quantile(1 - s) and loses precision once s is below machine epsilon;
         laws with an analytic tail override it."""
-        return self.quantile(1.0 - np.asarray(s, dtype=float))
+        return self.quantile(1.0 - _probabilities(s))
 
     def sample(self, n, seed, stream=0):
         """n i.i.d. draws by inverse transform; reproducible under (seed, stream)."""
@@ -242,6 +242,17 @@ def _as_float(x, fn):
     out = fn(np.asarray(x, dtype=float))
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
+
+
+def _probabilities(q, clamp=False):
+    """q as a float array after checking that every entry is a probability
+    in [0, 1]; NaN never is.  With ``clamp`` an entry beyond either end is
+    taken as that end instead, for the laws whose quantiles have always
+    mapped such entries to the ends of their support."""
+    q = np.asarray(q, dtype=float)
+    if np.isnan(q).any() or not (clamp or np.all((q >= 0.0) & (q <= 1.0))):
+        raise DomainError("quantile and isf take probabilities in [0, 1]")
+    return np.clip(q, 0.0, 1.0) if clamp else q
 
 
 def _bisect(right_of, lo, hi, width):
@@ -278,7 +289,7 @@ class Uniform(Distribution):
                                                1.0 / (self.b - self.a), 0.0))
 
     def quantile(self, q):
-        return _as_float(q, lambda u: self.a + (self.b - self.a) * u)
+        return _as_float(_probabilities(q), lambda u: self.a + (self.b - self.a) * u)
 
     def mda(self):
         return MdaClass("weibull", gamma=1.0, r_upper=self.b)
@@ -306,7 +317,7 @@ class Beta(Distribution):
         return _as_float(x, f)
 
     def quantile(self, q):
-        return _as_float(q, lambda u: sc.betaincinv(self.a, self.b, u))
+        return _as_float(_probabilities(q), lambda u: sc.betaincinv(self.a, self.b, u))
 
     def mda(self):
         return MdaClass("weibull", gamma=self.b, r_upper=1.0)
@@ -337,10 +348,10 @@ class Gamma(Distribution):
         return _as_float(x, f)
 
     def quantile(self, q):
-        return _as_float(q, lambda u: sc.gammaincinv(self.shape, u) / self.rate)
+        return _as_float(_probabilities(q), lambda u: sc.gammaincinv(self.shape, u) / self.rate)
 
     def isf(self, s):
-        return _as_float(s, lambda v: sc.gammainccinv(self.shape, v) / self.rate)
+        return _as_float(_probabilities(s), lambda v: sc.gammainccinv(self.shape, v) / self.rate)
 
     def mda(self):
         # w(x) -> rate for x large; the gamma tail is exponential class L(rate)
@@ -366,10 +377,10 @@ class Exponential(Distribution):
         return _as_float(x, lambda v: np.where(v >= 0, self.rate * np.exp(-self.rate * np.maximum(v, 0.0)), 0.0))
 
     def quantile(self, q):
-        return _as_float(q, lambda u: -np.log1p(-u) / self.rate)
+        return _as_float(_probabilities(q), lambda u: -np.log1p(-u) / self.rate)
 
     def isf(self, s):
-        return _as_float(s, lambda v: -np.log(v) / self.rate)
+        return _as_float(_probabilities(s), lambda v: -np.log(v) / self.rate)
 
     def mda(self):
         return MdaClass("gumbel", w=ScalingFunction.constant(self.rate))
@@ -401,10 +412,10 @@ class Pareto(Distribution):
             0.0))
 
     def quantile(self, q):
-        return _as_float(q, lambda u: self.xmin * (1.0 - u) ** (-1.0 / self.gamma_))
+        return _as_float(_probabilities(q), lambda u: self.xmin * (1.0 - u) ** (-1.0 / self.gamma_))
 
     def isf(self, s):
-        return _as_float(s, lambda v: self.xmin * v ** (-1.0 / self.gamma_))
+        return _as_float(_probabilities(s), lambda v: self.xmin * v ** (-1.0 / self.gamma_))
 
     def mda(self):
         return MdaClass("frechet", gamma=self.gamma_)
@@ -430,10 +441,10 @@ class Rayleigh(Distribution):
                                                * np.exp(-np.maximum(v, 0.0) ** 2 / (2 * s2)), 0.0))
 
     def quantile(self, q):
-        return _as_float(q, lambda u: self.sigma * np.sqrt(-2.0 * np.log1p(-u)))
+        return _as_float(_probabilities(q), lambda u: self.sigma * np.sqrt(-2.0 * np.log1p(-u)))
 
     def isf(self, s):
-        return _as_float(s, lambda v: self.sigma * np.sqrt(-2.0 * np.log(v)))
+        return _as_float(_probabilities(s), lambda v: self.sigma * np.sqrt(-2.0 * np.log(v)))
 
     def mda(self):
         # pdf/sf = x / sigma^2, the power form with r = 1/(2 sigma^2), theta = 2
@@ -532,15 +543,17 @@ class Kotz(Distribution):
 
     def quantile(self, q):
         if self.m == 1.0 and self.n_exp == 0.0:
-            return _as_float(q, lambda u: (-np.log1p(-u) / self.r) ** (1.0 / self.theta))
+            return _as_float(_probabilities(q, clamp=True),
+                             lambda u: (-np.log1p(-u) / self.r) ** (1.0 / self.theta))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._tail_root(np.log1p(-np.asarray(q, dtype=float)))
+            return self._tail_root(np.log1p(-_probabilities(q, clamp=True)))
 
     def isf(self, s):
         if self.m == 1.0 and self.n_exp == 0.0:
-            return _as_float(s, lambda v: (-np.log(v) / self.r) ** (1.0 / self.theta))
+            return _as_float(_probabilities(s, clamp=True),
+                             lambda v: (-np.log(v) / self.r) ** (1.0 / self.theta))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._tail_root(np.log(np.asarray(s, dtype=float)))
+            return self._tail_root(np.log(_probabilities(s, clamp=True)))
 
     def mda(self):
         return MdaClass("gumbel", w=ScalingFunction.power(self.r, self.theta))
@@ -555,7 +568,7 @@ class PointMass(Distribution):
         return _as_float(x, lambda v: np.where(v >= self.c, 1.0, 0.0))
 
     def quantile(self, q):
-        return _as_float(q, lambda u: np.full(np.shape(u), self.c))
+        return _as_float(_probabilities(q), lambda u: np.full(np.shape(u), self.c))
 
     def sample(self, n, seed, stream=0):
         if n < 1:
@@ -592,6 +605,11 @@ class TabulatedCdf(Distribution):
         self.upper = float(grid[-1])
         self._interp = PchipInterpolator(self.grid, self.values, extrapolate=False)
         self._deriv = self._interp.derivative()
+        # the derivative's power-form coefficients under a zero cubic term
+        # evaluate to the same bits as self._deriv
+        d = np.vstack([np.zeros((1, grid.size - 1)), self._deriv.c])
+        self._with_deriv = PPoly(np.stack([self._interp.c, d], axis=-1), self.grid,
+                                 extrapolate=False)
 
     def cdf(self, x):
         def f(v):
@@ -610,10 +628,21 @@ class TabulatedCdf(Distribution):
 
         return _as_float(x, f)
 
+    def sf_pdf(self, x):
+        """(sf(x), pdf(x)) for an array x, equal to what sf and pdf return,
+        from one interval lookup per point: the cubic and its derivative
+        are the two columns of one piecewise polynomial."""
+        g = self.grid
+        cdf, pdf = self._with_deriv(np.clip(x, g[0], g[-1])).T
+        below, above = x < g[0], x > g[-1]
+        # the cubic is values[0] at g[0] exactly, but not values[-1] at g[-1]
+        sf = 1.0 - np.where(below, 0.0, np.where(x >= g[-1], self.values[-1], cdf))
+        return sf, np.where(below | above, 0.0, np.maximum(pdf, 0.0))
+
     def quantile(self, q):
         """Bisection on the interpolant, all points at once, each until
         hi - lo <= 1e-10 * max(1, |hi|)."""
-        q = np.asarray(q, dtype=float)
+        q = _probabilities(q, clamp=True)
         u = q.ravel()
         end = np.where(u <= self.values[0], self.grid[0],
                        np.where(u >= self.values[-1], self.grid[-1], np.nan))
@@ -622,6 +651,9 @@ class TabulatedCdf(Distribution):
                       np.where(inside, self.grid[0], end), np.where(inside, self.grid[-1], end),
                       lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+
+    def isf(self, s):
+        return self.quantile(1.0 - _probabilities(s, clamp=True))
 
     def mda(self):
         return _classify_tabulated(self)

@@ -80,17 +80,24 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
     whole points of at most ~_CELL_BLOCK nodes each so that memory stays
     bounded, and an array is returned.  Points are checked against cfg in
     order; the first failure raises NumericError as ``what`` at that x.
+
+    With a tuple of k names as ``what``, ``fn`` returns k stacked rows of
+    values at its nodes, one per integrand, and a tuple of k results comes
+    back: k integrals from one pass over the nodes.  Each row keeps its own
+    value, error estimate and check; the checks run in grid order, the rows
+    of one point in the order of ``what``.
     """
     if not (0.0 < beta <= 1.0) or not math.isfinite(upper):
         raise DomainError("cell integration covers beta in (0,1] and finite range")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    names = (what,) if isinstance(what, str) else tuple(what)
     knots = np.sort(np.asarray(knots, dtype=float))
     # right edges: the knots inside (., upper), then upper itself
     ext = np.append(knots[knots < upper], upper)
     first = np.searchsorted(ext[:-1], xs, side="right")
     counts = np.where(xs < upper, ext.size - first, 0)
-    fine = np.zeros(xs.size)
-    coarse = np.zeros(xs.size)
+    fine = np.zeros((len(names), xs.size))
+    coarse = np.zeros((len(names), xs.size))
     cost = np.cumsum(counts) * 24
     lo = 0
     while lo < xs.size:
@@ -111,18 +118,23 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
             nodes, weights = _gl_nodes(n)
             u = mid[:, None] + half[:, None] * nodes[None, :]
             y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
-            vals = np.asarray(fn(y.ravel()), dtype=float).reshape(u.shape)
-            cells = np.sum(half[:, None] * (weights[None, :] * vals), axis=1)
-            out[lo:hi] = np.bincount(own, weights=cells, minlength=c.size)
+            vals = np.asarray(fn(y.ravel()), dtype=float).reshape((len(names),) + u.shape)
+            for row, row_vals in zip(out, vals):
+                cells = np.sum(half[:, None] * (weights[None, :] * row_vals), axis=1)
+                row[lo:hi] = np.bincount(own, weights=cells, minlength=c.size)
         lo = hi
     scale = (1.0 / beta) * math.exp(-sc.gammaln(beta))
     val, err = scale * fine, scale * np.abs(fine - coarse)
     if np.ndim(x) == 0:
-        cfg.check(val[0], err[0], what)
-        return float(val[0])
-    for xj, v, e in zip(xs, val, err):
-        cfg.check(v, e, f"{what} at x={float(xj)}")
-    return val
+        for name, v, e in zip(names, val[:, 0], err[:, 0]):
+            cfg.check(v, e, name)
+        out = tuple(float(v) for v in val[:, 0])
+    else:
+        for xj, vs, es in zip(xs, val.T, err.T):
+            for name, v, e in zip(names, vs, es):
+                cfg.check(v, e, f"{name} at x={float(xj)}")
+        out = tuple(val)
+    return out[0] if isinstance(what, str) else out
 
 
 def power_weight(c):
