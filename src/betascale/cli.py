@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .distributions import dist_from_json, load_tabulated_csv, mda_classify
+from .distributions import dist_from_json, load_tabulated_csv, mda_classify, read_csv_columns
 from .elliptical import (EllipticalModel, conditional_density_point,
                          conditional_sf_exceed, sample_elliptical)
 from .errors import DomainError, NoDensityError, NumericError
@@ -198,7 +198,7 @@ def _cmd_scale(args, argv):
             x_hi = float(d.quantile(1.0 - 1e-4))
             grid = np.geomspace(max(x_hi * 1e-4, 1e-8), x_hi, 200)
         rec = invert_iterative(d, args.alpha, plan, grid)
-        rows = [[float(x), float(rec.cdf(float(x)))] for x in grid]
+        rows = [[float(x), float(v)] for x, v in zip(grid, rec.cdf(grid))]
         _emit_csv(["x", "value"], rows, man, args.out)
     return 0
 
@@ -249,25 +249,8 @@ def _cmd_ellip(args, argv):
     return 0
 
 
-def _read_pairs_csv(path):
-    us, vs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        while header and header[0].startswith("#"):
-            header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["u", "v"]:
-            raise DomainError(f"{path}: expected header 'u,v'")
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            us.append(float(row[0]))
-            vs.append(float(row[1]))
-    return SampleBatch(np.array(us), np.array(vs))
-
-
 def _cmd_estimate(args, argv):
-    batch = _read_pairs_csv(args.input)
+    batch = SampleBatch(*map(np.array, read_csv_columns(args.input, ("u", "v"))))
     k_n = None if args.kn == "auto" else int(args.kn)
     cfg = EstimatorConfig(k_n=k_n, radius_source=args.source.upper())
     res = pipeline(batch, cfg)

@@ -94,8 +94,7 @@ class ScalingFunction:
     """The w in sf(x + t/w(x)) / sf(x) -> exp(-t).
 
     Forms: ``constant`` (w == value), ``power`` (w(x) = r*theta*x**(theta-1))
-    and ``von_mises`` (numeric hazard pdf/sf).  ``l1`` optionally describes a
-    regularly varying relative correction to the power form.
+    and ``von_mises`` (numeric hazard pdf/sf).
     """
 
     form: str
@@ -105,7 +104,6 @@ class ScalingFunction:
     pdf: object = None                  # von_mises form: callables
     sf: object = None
     fn: object = None                   # custom form: direct callable
-    l1: object = None                   # optional correction descriptor
 
     @classmethod
     def constant(cls, value):
@@ -167,7 +165,6 @@ class WeibullTailModel:
 
     r: float
     theta: float
-    l2: object = None   # optional slowly varying correction descriptor
 
     def __post_init__(self):
         if self.r <= 0 or self.theta <= 0:
@@ -227,15 +224,6 @@ class Distribution:
         if not m.is_gumbel:
             raise DomainError(f"{type(self).__name__} is not in the Gumbel MDA")
         return m.w
-
-    def has_density(self):
-        try:
-            self.pdf(0.5 * (self.lower + min(self.upper, self.lower + 1.0)) + 1e-9)
-        except NoDensityError:
-            return False
-        except Exception:
-            pass
-        return True
 
 
 def _as_float(x, fn):
@@ -741,22 +729,28 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def load_tabulated_csv(path, tail_hint=None):
-    """Read a `x,cdf` CSV with strictly increasing x into a TabulatedCdf."""
-    xs, vs = [], []
+def read_csv_columns(path, names):
+    """The two float columns of a CSV whose header, after any rows starting
+    with '#', is ``names``; later rows starting with '#' are skipped too."""
+    first, second = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         while header and header[0].startswith("#"):
             header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["x", "cdf"]:
-            raise DomainError(f"{path}: expected header 'x,cdf'")
+        if [h.strip().lower() for h in header[:2]] != list(names):
+            raise DomainError(f"{path}: expected header '{','.join(names)}'")
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    return TabulatedCdf(xs, vs, tail_hint=tail_hint)
+            first.append(float(row[0]))
+            second.append(float(row[1]))
+    return first, second
+
+
+def load_tabulated_csv(path, tail_hint=None):
+    """Read a `x,cdf` CSV with strictly increasing x into a TabulatedCdf."""
+    return TabulatedCdf(*read_csv_columns(path, ("x", "cdf")), tail_hint=tail_hint)
 
 
 _FACTORIES = {

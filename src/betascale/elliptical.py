@@ -170,6 +170,22 @@ def _importance_draws(m: EllipticalModel, x, n, rng):
     return r, a, v
 
 
+def _arc_mass(m: EllipticalModel, x, cfg):
+    """2*pi * P(U > x): the integral of 2 a(r) f_R(r) over r > x, with a(r)
+    the half-width of the arc {phi: r*cos(phi) > x}; None when no radius
+    exceeds x."""
+    if isinstance(m.radial, PointMass):
+        mass = 2.0 * _half_width(x, m.radial.c)
+        return mass if mass > 0.0 else None
+    r_lo = max(x, 0.0)
+    r_up = m.radial.upper if math.isfinite(m.radial.upper) else math.inf
+    if r_lo >= r_up:
+        return None
+    mass, _ = quad(lambda r: 2.0 * _half_width(x, r) * float(m.radial.pdf(r)), r_lo, r_up,
+                   epsabs=cfg.atol, epsrel=cfg.rtol, limit=cfg.limit)
+    return mass
+
+
 def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
     phi0 = math.acos(m.rho)
 
@@ -178,23 +194,17 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
         b = _half_width(y, r)
         return _arc_overlap(phi0, a, b)
 
+    den = _arc_mass(m, x, cfg)
+    if den is None:
+        raise DomainError("conditioning event has probability zero")
     if isinstance(m.radial, PointMass):
-        r = m.radial.c
-        den = 2.0 * _half_width(x, r)
-        if den <= 0.0:
-            raise DomainError("conditioning event has probability zero")
-        return joint_arc(r) / den
+        return joint_arc(m.radial.c) / den
 
     r_lo = max(x, 0.0)
     r_up = m.radial.upper if math.isfinite(m.radial.upper) else math.inf
-    if r_lo >= r_up:
-        raise DomainError("conditioning event has probability zero")
 
     def num_int(r):
         return joint_arc(r) * float(m.radial.pdf(r))
-
-    def den_int(r):
-        return 2.0 * _half_width(x, r) * float(m.radial.pdf(r))
 
     kwargs = {}
     if math.isfinite(r_up):
@@ -203,8 +213,6 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
             kwargs["points"] = pts
     num, nerr = quad(num_int, r_lo, r_up, epsabs=cfg.atol, epsrel=cfg.rtol,
                      limit=cfg.limit, **kwargs)
-    den, derr = quad(den_int, r_lo, r_up, epsabs=cfg.atol, epsrel=cfg.rtol,
-                     limit=cfg.limit)
     if den <= 0.0 or den < 1e-280:
         raise NumericError(
             "conditioning probability vanished numerically; lower x", estimate=den)
@@ -214,7 +222,7 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
 def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
     """Monte Carlo estimate; switches to radius-importance sampling when the
     conditioning probability is too small for plain rejection."""
-    p_exceed = _u_exceed_prob(m, x)
+    p_exceed = (_arc_mass(m, x, QuadratureConfig(atol=1e-300, rtol=1e-9)) or 0.0) / (2.0 * math.pi)
     if p_exceed >= 1e-4:
         pairs = sample_elliptical(m, n, seed)
         keep = pairs[:, 0] > x
@@ -233,20 +241,6 @@ def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
     # self-normalised weights w = a/den: var = sum w**2 (1{v > y} - est)**2
     se = math.sqrt(max(float(np.sum((a / den) ** 2 * (hit - est) ** 2)), 1e-16))
     return est, se
-
-
-def _u_exceed_prob(m: EllipticalModel, x, cfg=None):
-    """P(U > x) by quadrature over the radial law."""
-    cfg = cfg or QuadratureConfig(atol=1e-300, rtol=1e-9)
-    if isinstance(m.radial, PointMass):
-        return _half_width(x, m.radial.c) / math.pi
-    r_lo = max(x, 0.0)
-    r_up = m.radial.upper if math.isfinite(m.radial.upper) else math.inf
-    if r_lo >= r_up:
-        return 0.0
-    val, _ = quad(lambda r: _half_width(x, r) * float(m.radial.pdf(r)) / math.pi,
-                  r_lo, r_up, epsabs=cfg.atol, epsrel=cfg.rtol, limit=cfg.limit)
-    return max(val, 0.0)
 
 
 def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",

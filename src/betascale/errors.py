@@ -12,17 +12,19 @@ class NoDensityError(DomainError):
 class NumericError(RuntimeError):
     """A numeric routine could not reach the requested tolerance.
 
-    Carries the achieved error estimate in ``estimate`` when available.
+    Carries the achieved error estimate in ``estimate`` and the failing
+    point in ``x`` when available.
     """
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, estimate=None, x=None):
         super().__init__(message)
         self.estimate = estimate
+        self.x = x
 
 
 class StageError(NumericError):
     """A stage of the iterative inversion failed; ``stage`` is its index."""
 
-    def __init__(self, message, stage, estimate=None):
-        super().__init__(message, estimate)
+    def __init__(self, message, stage, estimate=None, x=None):
+        super().__init__(message, estimate, x)
         self.stage = stage

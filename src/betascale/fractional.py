@@ -41,7 +41,6 @@ class QuadratureConfig:
     atol: float = 1e-10
     rtol: float = 1e-8
     limit: int = 200
-    tail_cut: float = 1e-14   # truncate infinite tails where the integrand is negligible
 
     def check(self, value, err, what):
         if not (math.isfinite(value) and math.isfinite(err)):
@@ -53,16 +52,28 @@ class QuadratureConfig:
                 estimate=value,
             )
 
+    def check_points(self, x, value, err, what):
+        """Check integrals at the points of ``x`` (a scalar or 1-D array) in
+        order: ``what`` names one integral, or is a tuple of k names with k
+        rows of ``value`` and ``err``, checked in its order at each point.
+        Each goes through ``check`` as "<name> at x=<x>"; the first failure
+        raises its NumericError with that point as ``x``."""
+        names = (what,) if isinstance(what, str) else tuple(what)
+        xs = np.ravel(x).tolist()
+        rows = zip(np.reshape(value, (len(names), len(xs))).T.tolist(),
+                   np.reshape(err, (len(names), len(xs))).T.tolist())
+        for xi, (vs, es) in zip(xs, rows):
+            for name, v, e in zip(names, vs, es):
+                try:
+                    self.check(v, e, f"{name} at x={xi}")
+                except NumericError as exc:
+                    exc.x = xi
+                    raise
 
-_GL_CACHE = {}
 
-
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
+# Gauss-Legendre nodes and weights of the coarse and the fine cell rule
+_GL8 = np.polynomial.legendre.leggauss(8)
+_GL16 = np.polynomial.legendre.leggauss(16)
 _CELL_BLOCK = 1 << 14   # nodes per batch of kernel_integral_cells, bounding its memory
 
 
@@ -78,8 +89,9 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
     x may be a 1-D array (``fn`` must then not depend on x): the cells of
     all its points are laid out as one flat batch, evaluated in blocks of
     whole points of at most ~_CELL_BLOCK nodes each so that memory stays
-    bounded, and an array is returned.  Points are checked against cfg in
-    order; the first failure raises NumericError as ``what`` at that x.
+    bounded, and an array is returned.  Points are checked by
+    cfg.check_points, so the first failure in grid order raises
+    NumericError as "``what`` at x=<x>".
 
     With a tuple of k names as ``what``, ``fn`` returns k stacked rows of
     values at its nodes, one per integrand, and a tuple of k results comes
@@ -114,8 +126,7 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
             left, right = (left - xo) ** beta, (right - xo) ** beta
         half = 0.5 * (right - left)
         mid = 0.5 * (left + right)
-        for n, out in ((8, coarse), (16, fine)):
-            nodes, weights = _gl_nodes(n)
+        for (nodes, weights), out in ((_GL8, coarse), (_GL16, fine)):
             u = mid[:, None] + half[:, None] * nodes[None, :]
             y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
             vals = np.asarray(fn(y.ravel()), dtype=float).reshape((len(names),) + u.shape)
@@ -125,15 +136,8 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
         lo = hi
     scale = (1.0 / beta) * math.exp(-sc.gammaln(beta))
     val, err = scale * fine, scale * np.abs(fine - coarse)
-    if np.ndim(x) == 0:
-        for name, v, e in zip(names, val[:, 0], err[:, 0]):
-            cfg.check(v, e, name)
-        out = tuple(float(v) for v in val[:, 0])
-    else:
-        for xj, vs, es in zip(xs, val.T, err.T):
-            for name, v, e in zip(names, vs, es):
-                cfg.check(v, e, f"{name} at x={float(xj)}")
-        out = tuple(val)
+    cfg.check_points(xs, val, err, names)
+    out = tuple(val[:, 0].tolist()) if np.ndim(x) == 0 else tuple(val)
     return out[0] if isinstance(what, str) else out
 
 
@@ -183,7 +187,7 @@ def measure_knots(H):
 
 def _kernel_quad(h, beta, x, upper, cfg, points, what):
     """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * h(y) dy for beta > 0
-    and a scalar-valued h, by quadpack, checked against cfg as ``what``."""
+    and a scalar-valued h, by quadpack, checked against cfg as ``what`` at x."""
     if beta < 1.0:
         # substitute u = (y - x)**beta; dy = (1/beta) u**(1/beta - 1) du,
         # (y - x)**(beta - 1) dy = (1/beta) du
@@ -204,7 +208,7 @@ def _kernel_quad(h, beta, x, upper, cfg, points, what):
 
     val *= math.exp(-sc.gammaln(beta))
     err *= math.exp(-sc.gammaln(beta))
-    cfg.check(val, err, what)
+    cfg.check_points(x, val, err, what)
     return val
 
 
@@ -220,7 +224,7 @@ def weyl_integral(h, beta, x, upper=math.inf, cfg=None, points=None):
     cfg = cfg or QuadratureConfig()
     if beta == 0.0:
         return float(h(x))
-    return _kernel_quad(h, beta, x, upper, cfg, points, f"weyl_integral(beta={beta}, x={x})")
+    return _kernel_quad(h, beta, x, upper, cfg, points, f"weyl_integral(beta={beta})")
 
 
 def weyl_stieltjes(g, H, beta, x, cfg=None):
@@ -256,10 +260,10 @@ def weyl_stieltjes(g, H, beta, x, cfg=None):
             return np.asarray(g(y), dtype=float) * np.asarray(H.pdf(y), dtype=float)
 
         return kernel_integral_cells(fn, H.grid, beta, x, upper, cfg,
-                                     what=f"weyl_stieltjes(beta={beta}, x={x})")
+                                     what=f"weyl_stieltjes(beta={beta})")
 
     def h(y):
         return float(g(y)) * float(H.pdf(y))
 
     return _kernel_quad(h, beta, x, upper, cfg, measure_knots(H),
-                        f"weyl_stieltjes(beta={beta}, x={x})")
+                        f"weyl_stieltjes(beta={beta})")

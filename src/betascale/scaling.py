@@ -79,10 +79,6 @@ def _const_K(alpha, beta):
     return math.exp(sc.gammaln(alpha + beta) - sc.gammaln(alpha))
 
 
-def _support_points(H):
-    return measure_knots(H) or None
-
-
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:
 # node, Kronrod weight, weight of the embedded 10-point Gauss rule
 _QK21 = np.array([
@@ -164,9 +160,9 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     subintervals of all points (at most _GK_CHUNK per call of the law,
     bounding memory), and each point still short of max(atol, rtol*|value|)
     bisects its largest-error subinterval, as QUADPACK does, while it holds
-    fewer than cfg.limit.  Every point is then checked against cfg in grid
-    order; the first failure raises NumericError naming its x, and
-    ``what`` when given.
+    fewer than cfg.limit.  Every point is then checked by cfg.check_points,
+    so the first failure in grid order raises NumericError naming ``what``
+    (when given) and its x.
     """
     n = x.size
     b_lo = x / H.upper if math.isfinite(H.upper) else np.zeros(n)
@@ -237,8 +233,7 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
         lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
         val, err = np.concatenate([val[stay], new_val]), np.concatenate([err[stay], new_err])
     what = what or ("mixture density quadrature" if kind == "pdf" else "mixture quadrature")
-    for xi, v, e in zip(x, value, error):
-        cfg.check(v, e, f"{what} at x={float(xi)}")
+    cfg.check_points(x, value, error, what)
     return value
 
 
@@ -257,7 +252,7 @@ def _weyl(H, p, x, kind, cfg):
         return y ** (-c) * float(law(y))
 
     return x ** p.alpha * weyl_integral(h, p.beta, x, upper=upper, cfg=cfg,
-                                        points=_support_points(H))
+                                        points=measure_knots(H))
 
 
 _AT_OR_ABOVE_UPPER = {"cdf": 1.0, "sf": 0.0, "pdf": 0.0}
@@ -337,12 +332,13 @@ def _full_step(F, base, lam, x, cfg, stage=None):
     delta = 0 invokes the order-zero conventions, so no numerical
     differentiation is involved: the density term comes from F's own pdf.
 
-    x may be a 1-D array, the grid of an inversion stage.  For tabulated F
-    and 0 < delta <= 1 both integrals of all points run as one batch of
-    cells, with one evaluation of F's cubic and its derivative per node;
-    other laws, and a batch that fails a check, take the points one
-    at a time, in order, so that the first failure raises NumericError, or
-    StageError naming ``stage`` and that x when a stage is given.
+    x may be a 1-D array, the grid of an inversion stage, which takes one
+    pass over it: at delta = 0 the order-zero closed form on the whole
+    array; for tabulated F one batch of cells, with one evaluation of F's
+    cubic and its derivative per node for both integrals; for other laws
+    scalar quadrature point by point.  The first point in grid order that
+    fails its check raises NumericError, or StageError naming ``stage`` and
+    that x when a stage is given.
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError("each inversion step removes an amount in (0, 1]")
@@ -351,7 +347,6 @@ def _full_step(F, base, lam, x, cfg, stage=None):
         delta = 0.0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     upper = F.upper if math.isfinite(F.upper) else math.inf
-    cells = isinstance(F, TabulatedCdf) and 0.0 < delta <= 1.0
 
     def sf_term(y):
         return y ** (-base - 1.0) * np.asarray(F.sf(y), dtype=float)
@@ -360,31 +355,24 @@ def _full_step(F, base, lam, x, cfg, stage=None):
         sf, pdf = F.sf_pdf(y)
         return np.stack([y ** (-base - 1.0) * sf, y ** -base * pdf])
 
-    vals = None
-    if cells:
-        try:
+    try:
+        if delta == 0.0:
+            vals = base * sf_term(xs) + xs ** -base * np.asarray(F.pdf(xs), dtype=float)
+        elif isinstance(F, TabulatedCdf):
             t1, t2 = kernel_integral_cells(
                 both_terms, F.grid, delta, xs, upper, cfg,
                 what=("inversion survivor integral", f"weyl_stieltjes(beta={delta})"))
             vals = base * t1 + t2
-        except NumericError:
-            pass
-    if vals is None:
-        vals = np.empty_like(xs)
-        for j, xj in enumerate(map(float, xs)):
-            try:
-                if cells:
-                    t1 = kernel_integral_cells(sf_term, F.grid, delta, xj, upper, cfg,
-                                               what=f"inversion survivor integral (x={xj})")
-                else:
-                    t1 = weyl_integral(sf_term, delta, xj, upper=upper, cfg=cfg,
-                                       points=_support_points(F))
-                vals[j] = base * t1 + weyl_stieltjes(power_weight(-base), F, delta, xj, cfg=cfg)
-            except NumericError as exc:
-                if stage is None:
-                    raise
-                raise StageError(f"stage {stage} failed at x={xj}: {exc}", stage=stage,
-                                 estimate=exc.estimate) from exc
+        else:
+            vals = np.array([base * weyl_integral(sf_term, delta, xj, upper=upper, cfg=cfg,
+                                                  points=measure_knots(F))
+                             + weyl_stieltjes(power_weight(-base), F, delta, xj, cfg=cfg)
+                             for xj in xs.tolist()])
+    except NumericError as exc:
+        if stage is None:
+            raise
+        raise StageError(f"stage {stage} failed at x={exc.x}: {exc}", stage=stage,
+                         estimate=exc.estimate, x=exc.x) from exc
     K = math.exp(sc.gammaln(base) - sc.gammaln(base + lam))
     out = np.clip(K * xs ** (base + lam) * vals, 0.0, 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out

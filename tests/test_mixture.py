@@ -14,6 +14,7 @@ from betascale import (
     Exponential,
     Gamma,
     IterationPlan,
+    NoDensityError,
     NumericError,
     Pareto,
     PointMass,
@@ -268,6 +269,82 @@ def test_stage_error_first_x_in_grid_order():
     with pytest.raises(StageError, match=rf"stage 1 failed at x={grid[7]}: weyl_stieltjes") as err:
         invert_iterative(F, 1.0, IterationPlan((0.5,)), grid, cfg=cfg)
     assert err.value.stage == 1
+
+
+def _counting(F):
+    """F with its sf, pdf and sf_pdf counting the points they are given."""
+    seen = {"sf": 0, "pdf": 0, "sf_pdf": 0}
+    for name in seen:
+        def counted(y, _f=getattr(F, name), _name=name):
+            seen[_name] += np.size(y)
+            return _f(y)
+        setattr(F, name, counted)
+    return F, seen
+
+
+def test_failing_stage_evaluates_each_cell_node_once():
+    F, seen = _counting(_tabulated())
+    grid = np.geomspace(0.01, 5.0, 30)
+    _full_step(F, 1.0, 0.7, grid, QuadratureConfig(atol=1e-6, rtol=1e-6), stage=1)
+    passing = dict(seen)
+    assert passing["sf_pdf"] > 0 and passing["sf"] == passing["pdf"] == 0
+    for name in seen:
+        seen[name] = 0
+    x = float(grid[-1])
+    with pytest.raises(StageError) as err:
+        _full_step(F, 1.0, 0.7, grid, _FailAt(**{"weyl_stieltjes": [x]}), stage=1)
+    assert str(err.value).startswith(f"stage 1 failed at x={x}: weyl_stieltjes(beta=")
+    assert err.value.x == x and err.value.stage == 1
+    assert seen == passing
+
+
+def test_order_zero_stage_is_the_closed_form_on_the_grid():
+    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    grid = np.geomspace(0.01, 5.0, 30)
+    for F in (_tabulated(), Exponential(1.3)):
+        for base in (1.0, 2.5):
+            K = math.exp(sc.gammaln(base) - sc.gammaln(base + 1.0))
+            ref = [min(1.0, max(0.0, K * x ** (base + 1.0)
+                                * (base * x ** (-base - 1.0) * float(F.sf(x))
+                                   + x ** -base * float(F.pdf(x)))))
+                   for x in map(float, grid)]
+            assert _full_step(F, base, 1.0, grid, cfg) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    with pytest.raises(NoDensityError):
+        _full_step(PointMass(1.0), 1.0, 1.0, grid, cfg)
+
+
+def test_numeric_error_carries_the_named_point():
+    F = _tabulated()
+    xs = np.geomspace(1e-2, 4.0, 12)
+    fn = lambda y: y ** -2.5 * F.sf(y)
+    for x in (xs, float(xs[5])):
+        with pytest.raises(NumericError, match=rf"^probe at x={xs[5]}: forced") as err:
+            kernel_integral_cells(fn, F.grid, 0.5, x, F.upper, _FailAt(probe=[xs[5]]),
+                                  what="probe")
+        assert err.value.x == xs[5]
+    with pytest.raises(NumericError, match=r"^mixture quadrature at x=0\.5:") as err:
+        forward_cdf(Exponential(1.0), 1.0, 0.5, [0.5, 1.0], mode="mixture",
+                    cfg=QuadratureConfig(limit=1))
+    assert err.value.x == 0.5
+    with pytest.raises(NumericError, match=r"^chain_forward level 1 at x=1\.3: ") as err:
+        chain_forward(Exponential(1.0), [(2.0, 0.7)], 1.3,
+                      cfg=QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2))
+    assert err.value.x == 1.3
+    with pytest.raises(NumericError, match=r"^chain_forward level 1 at x=") as err:
+        chain_forward(Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)], 1.3,
+                      cfg=QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2))
+    assert f"at x={err.value.x}: " in str(err.value)
+    # an analytic law runs its stage point by point through scalar quadrature
+    grid = np.array([0.1, 0.5, 2.0])
+    for term in ("weyl_integral(beta=0.5)", "weyl_stieltjes(beta=0.5)"):
+        cfg = _FailAt(**{term: [grid[1]]})
+        with pytest.raises(NumericError, match=rf"^{re.escape(term)} at x={grid[1]}:") as err:
+            _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg)
+        assert err.value.x == grid[1]
+        with pytest.raises(StageError, match=rf"^stage 2 failed at x={grid[1]}: "
+                                             rf"{re.escape(term)} at x={grid[1]}:") as err:
+            _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg, stage=2)
+        assert err.value.x == grid[1] and err.value.stage == 2
 
 
 # ---------------------------------------------------------------------------
