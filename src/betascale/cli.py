@@ -62,9 +62,16 @@ def _parse_floats(text):
 def _load_dist(path):
     if path.endswith(".csv"):
         return load_tabulated_csv(path)
-    with open(path) as fh:
-        obj = json.load(fh)
-    return dist_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise DomainError(f"{path}: a distribution must be a JSON object")
+        return dist_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing parameter {exc}") from exc
 
 
 def _digest(path):

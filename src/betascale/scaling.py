@@ -25,8 +25,9 @@ from scipy.integrate import quad  # noqa: F401
 
 from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError
-from .fractional import (QuadratureConfig, kernel_integral_cells, measure_knots,
-                         power_weight, weyl_integral, weyl_stieltjes)
+from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_terms, _stieltjes,
+                         _stieltjes_terms, kernel_integral_cells, measure_knots,
+                         power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -79,43 +80,6 @@ def _const_K(alpha, beta):
     return math.exp(sc.gammaln(alpha + beta) - sc.gammaln(alpha))
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:
-# node, Kronrod weight, weight of the embedded 10-point Gauss rule
-_QK21 = np.array([
-    (0.995657163025808081, 0.011694638867371874, 0.0),
-    (0.973906528517171720, 0.032558162307964727, 0.066671344308688138),
-    (0.930157491355708226, 0.054755896574351996, 0.0),
-    (0.865063366688984511, 0.075039674810919953, 0.149451349150580593),
-    (0.780817726586416897, 0.093125454583697606, 0.0),
-    (0.679409568299024406, 0.109387158802297642, 0.219086362515982044),
-    (0.562757134668604683, 0.123491976262065851, 0.0),
-    (0.433395394129247191, 0.134709217311473326, 0.269266719309996355),
-    (0.294392862701460198, 0.142775938577060081, 0.0),
-    (0.148874338981631211, 0.147739104901338491, 0.295524224714752870),
-    (0.0, 0.149445554002916906, 0.0),
-])
-_GK_X, _GK_WK, _GK_WG = np.concatenate([_QK21 * (-1.0, 1.0, 1.0), _QK21[-2::-1]]).T
-_GK_CHUNK = 1024
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
-
-def _qk21(f, half):
-    """qk21 on rows of node values ``f`` over intervals of half-length
-    ``half`` > 0: (integrals, QUADPACK error estimates)."""
-    resk = f @ _GK_WK
-    resg = f @ _GK_WG
-    resabs = np.abs(f) @ _GK_WK * half
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WK * half
-    err = np.abs(resk - resg) * half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    # round-off floor
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
-
-
 def _node_map(alpha, beta, s):
     """(b, weight) at s in [0, 1]: b = (1 - (1 - s)**(1/beta))**(1/alpha), the
     Kumaraswamy(alpha, beta) quantile, and the density ratio f_B(b) / f_K(b)
@@ -145,24 +109,15 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     y -> H.pdf(y) / b ("pdf"): the mixture form of the forward map.
 
     Where x/b lies outside H's support g is constant: g(inf) for b < x/r_H
-    and g(0-) for b > x/l_H.  Those pieces take their exact Beta mass from
-    betainc / betaincc, and each point integrates the single piece between
-    them.  On it, b = Q_K(s) (see _node_map) with s running over
-    [K(x/r_H), K(x/l_H)] = [a, a + w], K(z) = 1 - (1 - z**alpha)**beta the
-    Kumaraswamy CDF, and s = a + w * t**2 * (3 - 2t), t in [0, 1]: the flat
-    ends of that map absorb the inverse-square-root singularities a density
-    can leave at a piece end (Beta(1.5, .5) at r_H), which bisection in s
-    cannot resolve to 1e-8 in double precision.
-
-    Adaptive qk21 on all points at once: each piece starts as its two halves
-    in t (one piece when cfg.limit < 6), every round applies the 21-point
-    Gauss-Kronrod rule with QUADPACK's error estimate to the new
-    subintervals of all points (at most _GK_CHUNK per call of the law,
-    bounding memory), and each point still short of max(atol, rtol*|value|)
-    bisects its largest-error subinterval, as QUADPACK does, while it holds
-    fewer than cfg.limit.  Every point is then checked by cfg.check_points,
-    so the first failure in grid order raises NumericError naming ``what``
-    (when given) and its x.
+    and g(0-) for b > x/l_H, pieces that take their exact Beta mass from
+    betainc / betaincc.  The single piece between them runs in b = Q_K(s)
+    (see _node_map), s in [K(x/r_H), K(x/l_H)] with K the Kumaraswamy CDF.
+    All points go through one call of fractional._gauss_kronrod at cfg's
+    own tolerances, whose end-flat map of the piece absorbs the
+    inverse-square-root singularity a density can leave at a piece end
+    (Beta(1.5, .5) at r_H); each piece starts as its two halves (one when
+    cfg.limit < 6).  The first failure of cfg.check_points in grid order
+    names ``what`` and x.
     """
     n = x.size
     b_lo = x / H.upper if math.isfinite(H.upper) else np.zeros(n)
@@ -176,83 +131,40 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     else:
         value = np.zeros(n)
     owner = np.flatnonzero(s_hi > s_lo)
-    start, width = s_lo[owner], (s_hi - s_lo)[owner]
-
     empty = 1.0 if kind == "cdf" else 0.0     # g(inf)
     law = getattr(H, kind)
 
-    def rule(piece, lo, hi):
-        half = 0.5 * (hi - lo)
-        t = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_X
-        w = width[piece][:, None]
-        bb, weight = _node_map(alpha, beta, start[piece][:, None] + w * t * t * (3.0 - 2.0 * t))
+    def integrand(piece, s):
+        bb, weight = _node_map(alpha, beta, s)
         with np.errstate(divide="ignore", over="ignore"):
             y = x[owner[piece]][:, None] / bb
         finite = np.isfinite(y)
         vals = np.asarray(law(np.where(finite, y, 1.0).ravel()), dtype=float).reshape(y.shape)
         if kind == "pdf":
             vals = vals / np.where(finite, bb, 1.0)
-        return _qk21(np.where(finite, vals, empty) * weight * 6.0 * w * t * (1.0 - t), half)
+        return np.where(finite, vals, empty) * weight
 
-    def evaluate(piece, lo, hi):
-        out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK])
-               for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
-        return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
-
-    parts = 2 if cfg.limit >= 6 else 1
-    piece = np.repeat(np.arange(owner.size), parts)
-    lo = np.tile(np.arange(parts) / parts, owner.size)
-    hi = lo + 1.0 / parts
-    error = np.zeros(n)
-    val, err = evaluate(piece, lo, hi)
-    while piece.size:
-        point = owner[piece]
-        total = value + np.bincount(point, weights=val, minlength=n)
-        etotal = np.bincount(point, weights=err, minlength=n)
-        short = ((etotal > np.maximum(cfg.atol, cfg.rtol * np.abs(total)))
-                 & (np.bincount(point, minlength=n) < cfg.limit))
-        # each point's largest-error subinterval leads its run in this order
-        order = np.lexsort((-err, point))
-        lead = order[np.r_[True, point[order][1:] != point[order][:-1]]]
-        mid = 0.5 * (lo + hi)
-        # QUADPACK's test for a subinterval too small to split
-        splittable = np.abs(hi) > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)
-        split = lead[short[point[lead]] & splittable[lead]]
-        done = np.ones(n, dtype=bool)
-        done[point[split]] = False
-        done = done[point]
-        value += np.bincount(point[done], weights=val[done], minlength=n)
-        error += np.bincount(point[done], weights=err[done], minlength=n)
-        stay = ~done
-        stay[split] = False
-        new_piece = np.tile(piece[split], 2)
-        new_lo = np.concatenate([lo[split], mid[split]])
-        new_hi = np.concatenate([mid[split], hi[split]])
-        new_val, new_err = evaluate(new_piece, new_lo, new_hi)
-        piece = np.concatenate([piece[stay], new_piece])
-        lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
-        val, err = np.concatenate([val[stay], new_val]), np.concatenate([err[stay], new_err])
-    what = what or ("mixture density quadrature" if kind == "pdf" else "mixture quadrature")
-    cfg.check_points(x, value, error, what)
+    value, error = _gauss_kronrod(integrand, owner, s_lo[owner], s_hi[owner], n, cfg.atol,
+                                  cfg.rtol, cfg.limit, value, parts=2 if cfg.limit >= 6 else 1)
+    cfg.check_points(x, value, error, what or (
+        "mixture density quadrature" if kind == "pdf" else "mixture quadrature"))
     return value
 
 
 def _weyl(H, p, x, kind, cfg):
-    """One point of the fractional-operator form of the forward map, without
-    the constant _const_K: x**alpha * (I_beta p_{-alpha-beta} G)(x) with G =
-    H.cdf or H.sf, or x**(alpha-1) * (J_{beta, p_{1-alpha-beta}} H)(x)."""
+    """x**alpha * (I_beta p_{-alpha-beta} G)(x) with G = H.cdf or H.sf, or
+    x**(alpha-1) * (J_{beta, p_{1-alpha-beta}} H)(x), at every x of a 1-D
+    array: the forward map without _const_K, checked under the operator's name."""
     if kind == "pdf":
-        return x ** (p.alpha - 1.0) * weyl_stieltjes(
-            power_weight(1.0 - p.alpha - p.beta), H, p.beta, x, cfg=cfg)
+        return x ** (p.alpha - 1.0) * _stieltjes(
+            power_weight(1.0 - p.alpha - p.beta), H, p.beta, x, cfg)
     c = p.alpha + p.beta
     law = H.cdf if kind == "cdf" else H.sf
-    upper = H.upper if kind == "sf" and math.isfinite(H.upper) else math.inf
-
-    def h(y):
-        return y ** (-c) * float(law(y))
-
-    return x ** p.alpha * weyl_integral(h, p.beta, x, upper=upper, cfg=cfg,
-                                        points=measure_knots(H))
+    upper = H.upper if kind == "sf" else math.inf
+    val, err = _kernel_terms(lambda y: y ** (-c) * np.asarray(law(y), dtype=float), p.beta, x,
+                             upper, measure_knots(H), cfg)
+    cfg.check_points(x, val, err, f"weyl_integral(beta={p.beta})")
+    return x ** p.alpha * val
 
 
 _AT_OR_ABOVE_UPPER = {"cdf": 1.0, "sf": 0.0, "pdf": 0.0}
@@ -270,8 +182,7 @@ def _forward(H, alpha, beta, x, kind, mode, cfg):
     if mode == "mixture":
         out[below] = _mixture(H, p.alpha, p.beta, flat[below], kind, cfg)
     else:
-        out[below] = [_const_K(p.alpha, p.beta) * _weyl(H, p, float(v), kind, cfg)
-                      for v in flat[below]]
+        out[below] = _const_K(p.alpha, p.beta) * _weyl(H, p, flat[below], kind, cfg)
     out = (np.maximum(out, 0.0) if kind == "pdf" else np.clip(out, 0.0, 1.0)).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -280,7 +191,7 @@ def forward_cdf(H, alpha, beta, x, mode="weyl", cfg=None):
     """CDF of B_{alpha,beta} * Y at x; ``mixture`` mode is the independent oracle.
 
     x may be an array: the result then has its shape (a float for scalar x),
-    and mixture mode integrates all of its points at once.
+    and either mode integrates all of its points at once.
     """
     return _forward(H, alpha, beta, x, "cdf", mode, cfg)
 
@@ -336,9 +247,9 @@ def _full_step(F, base, lam, x, cfg, stage=None):
     pass over it: at delta = 0 the order-zero closed form on the whole
     array; for tabulated F one batch of cells, with one evaluation of F's
     cubic and its derivative per node for both integrals; for other laws
-    scalar quadrature point by point.  The first point in grid order that
-    fails its check raises NumericError, or StageError naming ``stage`` and
-    that x when a stage is given.
+    one run of the adaptive engine per integral over the whole grid.  The
+    first point in grid order that fails its check raises NumericError, or
+    StageError naming ``stage`` and that x when a stage is given.
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError("each inversion step removes an amount in (0, 1]")
@@ -346,7 +257,6 @@ def _full_step(F, base, lam, x, cfg, stage=None):
     if delta < 1e-12:
         delta = 0.0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    upper = F.upper if math.isfinite(F.upper) else math.inf
 
     def sf_term(y):
         return y ** (-base - 1.0) * np.asarray(F.sf(y), dtype=float)
@@ -360,14 +270,15 @@ def _full_step(F, base, lam, x, cfg, stage=None):
             vals = base * sf_term(xs) + xs ** -base * np.asarray(F.pdf(xs), dtype=float)
         elif isinstance(F, TabulatedCdf):
             t1, t2 = kernel_integral_cells(
-                both_terms, F.grid, delta, xs, upper, cfg,
+                both_terms, F.grid, delta, xs, F.upper, cfg,
                 what=("inversion survivor integral", f"weyl_stieltjes(beta={delta})"))
             vals = base * t1 + t2
         else:
-            vals = np.array([base * weyl_integral(sf_term, delta, xj, upper=upper, cfg=cfg,
-                                                  points=measure_knots(F))
-                             + weyl_stieltjes(power_weight(-base), F, delta, xj, cfg=cfg)
-                             for xj in xs.tolist()])
+            t1, e1 = _kernel_terms(sf_term, delta, xs, F.upper, measure_knots(F), cfg)
+            t2, e2 = _stieltjes_terms(power_weight(-base), F, delta, xs, cfg)
+            cfg.check_points(xs, [t1, t2], [e1, e2],
+                             (f"weyl_integral(beta={delta})", f"weyl_stieltjes(beta={delta})"))
+            vals = base * t1 + t2
     except NumericError as exc:
         if stage is None:
             raise
@@ -378,52 +289,68 @@ def _full_step(F, base, lam, x, cfg, stage=None):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def _survivor(step, x):
+    """step(points) at the points x > 0 of a scalar or array x and survivor
+    1.0 elsewhere, a float for scalar x; non-finite x raises DomainError."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("evaluation point must be finite")
+    out = np.ones(xs.shape)
+    if np.any(xs > 0):
+        out[xs > 0] = step(xs[xs > 0])
+    return float(out) if out.ndim == 0 else out
+
+
 def invert_onestep(F, alpha, beta, x, cfg=None, allow_higher_order=False):
     """Survivor of Y at x when F is the law of B_{alpha,beta} * Y, beta <= 1.
 
-    For beta > 1 the explicit formula needs an order-n derivative of noisy
-    data; it is available behind ``allow_higher_order`` with central
-    differencing, but the chained route (invert_iterative) is preferred.
+    x may be a scalar or an array (a float or an array of its shape comes
+    back); the survivor is 1.0 where x <= 0.  For beta > 1 the explicit
+    formula needs an order-n derivative of noisy data; it is available
+    behind ``allow_higher_order`` with central differencing, but the
+    chained route (invert_iterative) is preferred.
     """
     p = _params(alpha, beta)
     cfg = cfg or QuadratureConfig()
-    if x <= 0:
-        return 1.0
     if p.beta <= 1.0:
-        return _full_step(F, p.alpha, p.beta, x, cfg)
+        return _survivor(lambda xs: _full_step(F, p.alpha, p.beta, xs, cfg), x)
     if not allow_higher_order:
         raise DomainError("beta > 1 requires invert_iterative "
                           "(or pass allow_higher_order=True)")
-    return _invert_higher_order(F, p.alpha, p.beta, x, cfg)
+    return _survivor(lambda xs: _invert_higher_order(F, p.alpha, p.beta, xs, cfg), x)
 
 
 def _invert_higher_order(F, alpha, beta, x, cfg):
-    """(-1)**n * Gamma(a)/Gamma(a+b) * x**(a+b) * (I_delta D^n p_{-a} sf_F)(x)."""
+    """(-1)**n * Gamma(a)/Gamma(a+b) * x**(a+b) * (I_delta D^n p_{-a} sf_F)(x)
+    at every point of the 1-D array x, with D^n g(y) by central differences
+    of step n * max(1e-5, 1e-5 * y)."""
     n = int(beta) if float(beta).is_integer() else int(math.floor(beta)) + 1
     delta = n - beta
-    h = max(1e-5, 1e-5 * x) * n
-
-    def g(y):
-        return y ** (-alpha) * float(F.sf(y))
-
     coeffs = [(-1.0) ** k * math.comb(n, k) for k in range(n + 1)]
 
     def dng(y):
-        return sum(c * g(y + (n / 2.0 - k) * h) for k, c in enumerate(coeffs)) / h ** n
+        h = n * np.maximum(1e-5, 1e-5 * y)
+        return sum(c * (y + (n / 2.0 - k) * h) ** (-alpha)
+                   * np.asarray(F.sf(y + (n / 2.0 - k) * h), dtype=float)
+                   for k, c in enumerate(coeffs)) / h ** n
 
-    upper = F.upper if math.isfinite(F.upper) else math.inf
-    val = weyl_integral(dng, delta, x, upper=upper, cfg=cfg)
-    val *= (-1.0) ** n * math.exp(sc.gammaln(alpha) - sc.gammaln(alpha + beta)) \
+    if delta == 0.0:
+        val = dng(x)
+    else:
+        val, err = _kernel_terms(dng, delta, x, F.upper, measure_knots(F), cfg)
+        cfg.check_points(x, val, err, f"weyl_integral(beta={delta})")
+    val = val * (-1.0) ** n * math.exp(sc.gammaln(alpha) - sc.gammaln(alpha + beta)) \
         * x ** (alpha + beta)
-    return min(max(val, 0.0), 1.0)
+    return np.clip(val, 0.0, 1.0)
 
 
 def invert_step(F, alpha, lam, beta, x, cfg=None):
     """Partial inversion: peel the last beta factor of amount ``lam`` off F.
 
     F is the law of B_{alpha,beta} * Y; the return value is the survivor at
-    x of the intermediate law carrying parameters (alpha, beta - lam).  The
-    removed amount must lie in (0, 1]; lam = beta recovers invert_onestep.
+    x of the intermediate law carrying parameters (alpha, beta - lam), for
+    scalar or array x as in invert_onestep.  The removed amount must lie in
+    (0, 1]; lam = beta recovers invert_onestep.
     """
     p = _params(alpha, beta)
     cfg = cfg or QuadratureConfig()
@@ -435,7 +362,7 @@ def invert_step(F, alpha, lam, beta, x, cfg=None):
     if target >= 1.0:
         raise DomainError("remaining order beta - lam must lie in [0, 1); "
                           "use an iteration plan with more stages")
-    return _full_step(F, p.alpha + target, lam, x, cfg)
+    return _survivor(lambda xs: _full_step(F, p.alpha + target, lam, xs, cfg), x)
 
 
 @dataclass
@@ -531,14 +458,15 @@ def corollary_check(H, alpha, beta, x, cfg=None):
 
     LHS: x**(alpha-1) * (J_{beta, p_{1-alpha-beta}} H)(x).
     RHS: d/dx [ x**alpha * (I_beta p_{-alpha-beta} H)(x) ] by central
-    difference.  They agree when H has a density.
+    difference, with step min(1e-4 * max(1, x), x / 2).  They agree when H
+    has a density.
     """
     p = _params(alpha, beta)
     _check_forward_args(H, x)
     cfg = cfg or QuadratureConfig()
-    step = 1e-4 * max(1.0, x)
-    rhs = (_weyl(H, p, x + step, "cdf", cfg) - _weyl(H, p, x - step, "cdf", cfg)) / (2.0 * step)
-    return _weyl(H, p, x, "pdf", cfg), rhs
+    step = min(1e-4 * max(1.0, x), 0.5 * x)
+    below, above = _weyl(H, p, np.array([x - step, x + step]), "cdf", cfg)
+    return float(_weyl(H, p, np.array([x]), "pdf", cfg)[0]), float((above - below) / (2.0 * step))
 
 
 def chain_forward(H, params, x, cfg=None):

@@ -234,6 +234,17 @@ def test_exit_code_domain_error(tmp_path):
                  "--x", "1"]) == 1
 
 
+@pytest.mark.parametrize("text,named", [("{not json", "invalid JSON"),
+                                        ('{"family": "exponential"}', "'rate'"),
+                                        ("[1, 2]", "JSON object")])
+def test_exit_code_malformed_dist_json(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["dist", "eval", "--dist", str(bad), "--what", "cdf", "--x", "1"]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err and "Traceback" not in err
+
+
 def test_exit_code_usage():
     assert main(["no-such-command"]) == 64
     assert main(["dist", "eval", "--nonsense"]) == 64

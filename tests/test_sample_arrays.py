@@ -24,7 +24,7 @@ from betascale import (
     kendall_rho,
     make_rng,
 )
-from betascale.elliptical import _exceed_montecarlo, _half_width, _half_widths
+from betascale.elliptical import _exceed_montecarlo, _half_widths
 from betascale.estimation import _inversions, _top_order_stats
 
 
@@ -186,6 +186,18 @@ def test_kotz_quantile_edges():
 
 # ---------------------------------------------------------------------------
 # importance sampler
+
+def _half_width(level, r):
+    """Scalar reference: half-width of the angle arc {phi: r*cos(phi) > level}."""
+    if r <= 0.0:
+        return math.pi if level < 0 else 0.0
+    ratio = level / r
+    if ratio >= 1.0:
+        return 0.0
+    if ratio <= -1.0:
+        return math.pi
+    return math.acos(ratio)
+
 
 @pytest.mark.parametrize("level", [-2.0, -0.5, 0.0, 0.5, 2.0])
 def test_half_widths_match_scalar(level):
