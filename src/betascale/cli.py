@@ -212,12 +212,9 @@ def _cmd_scale(args, argv):
 
 def _cmd_tail(args, argv):
     d = _load_dist(args.dist)
-    mda = args.mda
-    if mda == "auto":
-        m = mda_classify(d)
-        if m.label == "unclassified":
-            raise DomainError("could not classify the law; pass --mda explicitly")
-        mda = m.label
+    mda = mda_classify(d).label
+    if mda == "unclassified":
+        raise DomainError("could not classify the law's tail")
     fn = {"gumbel": predict_gumbel, "frechet": predict_frechet,
           "weibull": predict_weibull}[mda]
     triples = []
@@ -370,8 +367,6 @@ def _build_parser():
     tr.add_argument("--dist", required=True)
     tr.add_argument("--alpha", type=float, required=True)
     tr.add_argument("--beta", type=float, required=True)
-    tr.add_argument("--mda", choices=["auto", "gumbel", "frechet", "weibull"],
-                    default="auto")
     tr.add_argument("--x", required=True)
     tr.add_argument("--out")
     t.set_defaults(func=_cmd_tail)

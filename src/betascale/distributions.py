@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoDensityError
 
@@ -345,9 +344,6 @@ class Gamma(Distribution):
         # w(x) -> rate for x large; the gamma tail is exponential class L(rate)
         return MdaClass("gumbel", w=ScalingFunction.constant(self.rate))
 
-    def scaling_w(self):
-        return ScalingFunction.constant(self.rate)
-
 
 class Exponential(Distribution):
     def __init__(self, rate=1.0):
@@ -456,7 +452,8 @@ class Kotz(Distribution):
         self.lower = self.x0
 
     def _log_tail(self, x):
-        return math.log(self.m) + self.n_exp * math.log(x) - self.r * x ** self.theta
+        """log M + N log x - r x**theta, the log of the tail function."""
+        return math.log(self.m) + self.n_exp * np.log(x) - self.r * x ** self.theta
 
     def _crossing(self):
         if self.m == 1.0 and self.n_exp == 0.0:
@@ -477,7 +474,9 @@ class Kotz(Distribution):
         hi = max(2.0 * lo, 1.0)
         while self._log_tail(hi) > 0:
             hi *= 2.0
-        return brentq(self._log_tail, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        # the root lies right of every x with a positive log tail
+        return float(_bisect(lambda x, i: self._log_tail(x) > 0.0, np.array([lo]),
+                             np.array([hi]), lambda h: 1e-14 + 8.9e-16 * np.abs(h))[0])
 
     def sf(self, x):
         def f(v):
@@ -509,18 +508,16 @@ class Kotz(Distribution):
     def _tail_root(self, target):
         """The x past x0 with log sf(x) = target, for an array of targets (x0
         where target >= 0, inf where it is -inf): bracket doubling, then
-        bisection of all points at once to brentq's tolerance (xtol 1e-13,
-        rtol 8.9e-16)."""
+        bisection of all points at once to width 1e-13 + 8.9e-16 * |x|."""
         t = target.ravel()
         lo = np.where(t >= 0.0, self.x0, np.where(t == -np.inf, np.inf, np.nan))
         hi = lo.copy()
         up = np.flatnonzero(np.isfinite(t) & (t < 0.0))
         lo[up] = self.x0
         hi[up] = max(1.0, 2.0 * self.x0 + 1.0)
-        log_m = math.log(self.m)
 
         def right_of(x, i):
-            return log_m + self.n_exp * np.log(x) - self.r * x ** self.theta > t[i]
+            return self._log_tail(x) > t[i]
 
         while up.size:
             up = up[right_of(hi[up], up)]
@@ -550,6 +547,8 @@ class Kotz(Distribution):
 class PointMass(Distribution):
     def __init__(self, c):
         self.c = float(c)
+        if not math.isfinite(self.c):
+            raise DomainError("point mass requires a finite location")
         self.lower = self.upper = self.c
 
     def cdf(self, x):
@@ -580,6 +579,8 @@ class TabulatedCdf(Distribution):
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 4:
             raise DomainError("tabulated CDF needs at least 4 grid points")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise DomainError("tabulated CDF needs finite grid points and values")
         if np.any(np.diff(grid) <= 0):
             raise DomainError("tabulated grid must be strictly increasing")
         if rectify:
@@ -730,21 +731,29 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
 # JSON serialization
 
 def read_csv_columns(path, names):
-    """The two float columns of a CSV whose header, after any rows starting
-    with '#', is ``names``; later rows starting with '#' are skipped too."""
+    """The two finite float columns of a CSV whose header, after any rows
+    starting with '#', is ``names``; later rows starting with '#' are
+    skipped too.  A malformed row raises DomainError naming its line."""
     first, second = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         while header and header[0].startswith("#"):
-            header = next(reader)
+            header = next(reader, [])
         if [h.strip().lower() for h in header[:2]] != list(names):
             raise DomainError(f"{path}: expected header '{','.join(names)}'")
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            first.append(float(row[0]))
-            second.append(float(row[1]))
+            try:
+                a, b = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                a = b = math.nan
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise DomainError(f"{path}: line {reader.line_num}: expected two finite "
+                                  f"numbers, got {','.join(row)!r}")
+            first.append(a)
+            second.append(b)
     return first, second
 
 

@@ -323,13 +323,14 @@ def invert_onestep(F, alpha, beta, x, cfg=None, allow_higher_order=False):
 def _invert_higher_order(F, alpha, beta, x, cfg):
     """(-1)**n * Gamma(a)/Gamma(a+b) * x**(a+b) * (I_delta D^n p_{-a} sf_F)(x)
     at every point of the 1-D array x, with D^n g(y) by central differences
-    of step n * max(1e-5, 1e-5 * y)."""
+    of step n * max(1e-5, 1e-5 * y), capped at y / n so that every node
+    y + (n/2 - k) * h stays at or above y / 2 > 0."""
     n = int(beta) if float(beta).is_integer() else int(math.floor(beta)) + 1
     delta = n - beta
     coeffs = [(-1.0) ** k * math.comb(n, k) for k in range(n + 1)]
 
     def dng(y):
-        h = n * np.maximum(1e-5, 1e-5 * y)
+        h = np.minimum(n * np.maximum(1e-5, 1e-5 * y), y / n)
         return sum(c * (y + (n / 2.0 - k) * h) ** (-alpha)
                    * np.asarray(F.sf(y + (n / 2.0 - k) * h), dtype=float)
                    for k, c in enumerate(coeffs)) / h ** n

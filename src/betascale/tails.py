@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .distributions import (Distribution, MdaClass, ScalingFunction,
-                            beta_moment)
+from .distributions import ScalingFunction, beta_moment
 from .errors import DomainError
 from .fractional import QuadratureConfig
 from .scaling import forward_pdf, forward_sf
@@ -55,36 +54,56 @@ class TailPrediction:
         return self.direct / self.prediction
 
 
-def _tail_cfg():
-    # tail values are tiny; accuracy must be relative, not absolute
-    return QuadratureConfig(atol=1e-300, rtol=1e-9)
+# tail values are tiny; accuracy must be relative, not absolute
+_TAIL_CFG = QuadratureConfig(atol=1e-300, rtol=1e-9)
 
 
 def _lngamma_ratio(num, den):
     return math.exp(sum(sc.gammaln(v) for v in num) - sum(sc.gammaln(v) for v in den))
 
 
+def _classed(H, label, who):
+    """H's max-domain class, which must be ``label``; the one class guard."""
+    if label not in ("gumbel", "frechet", "weibull"):
+        raise DomainError(f"unknown MDA {label!r}")
+    m = H.mda()
+    if m.label != label:
+        raise DomainError(f"{who} requires a {label.capitalize()}-class law")
+    return m
+
+
+def _point(m, x):
+    """Where a class-m law is evaluated for the tail argument x: x itself, or
+    in the Weibull class r_H*(1 - x), the fraction x below the endpoint."""
+    return m.r_upper * (1.0 - x) if m.label == "weibull" else x
+
+
+def _prediction(H, alpha, beta, x, cfg, label):
+    """The class-``label`` asymptote at x against direct quadrature."""
+    m = _classed(H, label, f"predict_{label}")
+    point = _point(m, x)
+    sf = float(H.sf(point))
+    if label == "gumbel":
+        K = _lngamma_ratio([alpha + beta], [alpha])
+        shape, pred = "(x*w(x))**(-beta) * sf(x)", K * (x * float(m.w(x))) ** (-beta) * sf
+    elif label == "frechet":
+        K = beta_moment(alpha, beta, m.gamma)
+        shape, pred = "E[B**gamma] * sf(x)", K * sf
+    else:
+        K = _lngamma_ratio([alpha + beta, m.gamma + 1.0], [alpha, m.gamma + beta + 1.0])
+        shape, pred = "x**beta * sf(r_H*(1-x))", K * x ** beta * sf
+    direct = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg or _TAIL_CFG)
+    return TailPrediction(K, shape, pred, direct)
+
+
 def predict_gumbel(H, alpha, beta, x, cfg=None):
     """Gumbel-class asymptote K*(x w(x))**(-beta)*sf(x) vs direct quadrature."""
-    m = H.mda()
-    if not m.is_gumbel:
-        raise DomainError("predict_gumbel requires a Gumbel-class law")
-    w = m.w
-    K = _lngamma_ratio([alpha + beta], [alpha])
-    pred = K * (x * float(w(x))) ** (-beta) * float(H.sf(x))
-    direct = forward_sf(H, alpha, beta, x, mode="mixture", cfg=cfg or _tail_cfg())
-    return TailPrediction(K, "(x*w(x))**(-beta) * sf(x)", pred, direct)
+    return _prediction(H, alpha, beta, x, cfg, "gumbel")
 
 
 def predict_frechet(H, alpha, beta, x, cfg=None):
     """Frechet-class asymptote E[B**gamma]*sf(x) vs direct quadrature."""
-    m = H.mda()
-    if m.label != "frechet":
-        raise DomainError("predict_frechet requires a Frechet-class law")
-    moment = beta_moment(alpha, beta, m.gamma)
-    pred = moment * float(H.sf(x))
-    direct = forward_sf(H, alpha, beta, x, mode="mixture", cfg=cfg or _tail_cfg())
-    return TailPrediction(moment, "E[B**gamma] * sf(x)", pred, direct)
+    return _prediction(H, alpha, beta, x, cfg, "frechet")
 
 
 def predict_weibull(H, alpha, beta, x_dist, cfg=None):
@@ -93,18 +112,7 @@ def predict_weibull(H, alpha, beta, x_dist, cfg=None):
     The law is evaluated at r_H*(1 - x_dist) internally, so x_dist is always
     a fraction of the (finite) endpoint.
     """
-    m = H.mda()
-    if m.label != "weibull":
-        raise DomainError("predict_weibull requires a Weibull-class law")
-    r_up = m.r_upper
-    if not math.isfinite(r_up):
-        raise DomainError("Weibull-class prediction needs a finite endpoint")
-    g = m.gamma
-    K = _lngamma_ratio([alpha + beta, g + 1.0], [alpha, g + beta + 1.0])
-    point = r_up * (1.0 - x_dist)
-    pred = K * x_dist ** beta * float(H.sf(point))
-    direct = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg or _tail_cfg())
-    return TailPrediction(K, "x**beta * sf(r_H*(1-x))", pred, direct)
+    return _prediction(H, alpha, beta, x_dist, cfg, "weibull")
 
 
 def density_ratio(H, alpha, beta, x, mode, cfg=None):
@@ -114,28 +122,16 @@ def density_ratio(H, alpha, beta, x, mode, cfg=None):
     frechet: x * h(x) / sf(x)             -> gamma
     weibull: x * h(1-x) / sf(1-x)         -> beta + gamma   (x below r_H = 1)
     """
-    cfg = cfg or _tail_cfg()
-    m = H.mda()
+    m = _classed(H, mode, "density_ratio")
+    cfg = cfg or _TAIL_CFG
+    point = _point(m, x)
+    pdf = forward_pdf(H, alpha, beta, point, mode="mixture", cfg=cfg)
+    sf = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg)
     if mode == "gumbel":
-        if not m.is_gumbel:
-            raise DomainError("H is not Gumbel-class")
-        num = forward_pdf(H, alpha, beta, x, mode="mixture", cfg=cfg)
-        den = float(m.w(x)) * forward_sf(H, alpha, beta, x, mode="mixture", cfg=cfg)
-        return num / den, 1.0
+        return pdf / (float(m.w(x)) * sf), 1.0
     if mode == "frechet":
-        if m.label != "frechet":
-            raise DomainError("H is not Frechet-class")
-        num = x * forward_pdf(H, alpha, beta, x, mode="mixture", cfg=cfg)
-        den = forward_sf(H, alpha, beta, x, mode="mixture", cfg=cfg)
-        return num / den, m.gamma
-    if mode == "weibull":
-        if m.label != "weibull":
-            raise DomainError("H is not Weibull-class")
-        point = m.r_upper * (1.0 - x)
-        num = x * forward_pdf(H, alpha, beta, point, mode="mixture", cfg=cfg)
-        den = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg)
-        return num / den, beta + m.gamma
-    raise DomainError(f"unknown density ratio mode {mode!r}")
+        return x * pdf / sf, m.gamma
+    return x * pdf / sf, beta + m.gamma
 
 
 def general_multiplier_tail(H, descriptor, x, mda, kind):
@@ -147,37 +143,30 @@ def general_multiplier_tail(H, descriptor, x, mda, kind):
     or {"c": ..., "beta": ...} accordingly.
     """
     b = float(descriptor["beta"])
-    if b < 0:
-        raise DomainError("descriptor exponent must be nonnegative")
-    m = H.mda()
+    if b < 0 or (kind == "J" and b == 0):
+        raise DomainError("descriptor exponent must be nonnegative, and positive for kind J")
+    if mda not in ("gumbel", "weibull"):
+        raise DomainError("general multiplier predictions cover gumbel and weibull; "
+                          "use predict_frechet for the regularly varying case")
+    m = _classed(H, mda, "general_multiplier_tail")
+    sf = float(H.sf(_point(m, x)))
     if mda == "gumbel":
-        if not m.is_gumbel:
-            raise DomainError("H is not Gumbel-class")
         wx = float(m.w(x))
-        sf = float(H.sf(x))
         if kind == "I":
             C = float(descriptor["C"])
             return C * math.exp(sc.gammaln(1.0 + b)) * sf / (x * wx) ** b
         if kind == "J":
             c = float(descriptor["c"])
             return c * math.exp(sc.gammaln(b)) * sf / (x ** b * wx ** (b - 1.0))
-        raise DomainError(f"unknown kind {kind!r}")
-    if mda == "weibull":
-        if m.label != "weibull":
-            raise DomainError("H is not Weibull-class")
-        g = m.gamma
-        sf = float(H.sf(m.r_upper * (1.0 - x)))
-        if kind == "I":
-            C = float(descriptor["C"])
-            const = C * _lngamma_ratio([b + 1.0, g + 1.0], [b + g + 1.0])
-            return const * x ** b * sf
-        if kind == "J":
-            c = float(descriptor["c"])
-            const = c * _lngamma_ratio([b, g + 1.0], [b + g])
-            return const * x ** (b - 1.0) * sf
-        raise DomainError(f"unknown kind {kind!r}")
-    raise DomainError("general multiplier predictions cover gumbel and weibull; "
-                      "use predict_frechet for the regularly varying case")
+    elif kind == "I":  # the Weibull class
+        C = float(descriptor["C"])
+        const = C * _lngamma_ratio([b + 1.0, m.gamma + 1.0], [b + m.gamma + 1.0])
+        return const * x ** b * sf
+    elif kind == "J":
+        c = float(descriptor["c"])
+        const = c * _lngamma_ratio([b, m.gamma + 1.0], [b + m.gamma])
+        return const * x ** (b - 1.0) * sf
+    raise DomainError(f"unknown kind {kind!r}")
 
 
 def fractional_asymptote(H, beta, c, x, mda, kind):
@@ -192,45 +181,34 @@ def fractional_asymptote(H, beta, c, x, mda, kind):
     """
     if beta <= 0:
         raise DomainError("fractional order must be positive")
-    m = H.mda()
+    m = _classed(H, mda, "fractional_asymptote")
+    g = m.gamma
+    sf = float(H.sf(_point(m, x)))
     if mda == "gumbel":
-        if not m.is_gumbel:
-            raise DomainError("H is not Gumbel-class")
         wx = float(m.w(x))
-        j = wx ** (1.0 - beta) * x ** c * float(H.sf(x))
+        j = wx ** (1.0 - beta) * x ** c * sf
         if kind == "J":
             return j
         if kind == "I":
             return j / wx
-        raise DomainError(f"unknown kind {kind!r}")
-    if mda == "frechet":
-        if m.label != "frechet":
-            raise DomainError("H is not Frechet-class")
-        g = m.gamma
+    elif mda == "frechet":
         if kind == "J":
             if beta + c >= g + 1.0:
                 raise DomainError("requires beta + c < gamma + 1")
             const = g * _lngamma_ratio([g + 1.0 - beta - c], [g + 1.0 - c])
-            return const * x ** (beta + c - 1.0) * float(H.sf(x))
+            return const * x ** (beta + c - 1.0) * sf
         if kind == "I":
             if beta + c >= g:
                 raise DomainError("requires beta + c < gamma")
             const = _lngamma_ratio([g - beta - c], [g - c])
-            return const * x ** (beta + c) * float(H.sf(x))
-        raise DomainError(f"unknown kind {kind!r}")
-    if mda == "weibull":
-        if m.label != "weibull":
-            raise DomainError("H is not Weibull-class")
-        g = m.gamma
-        point = m.r_upper * (1.0 - x)
-        if kind == "J":
-            const = _lngamma_ratio([g + 1.0], [beta + g])
-            return const * x ** (beta - 1.0) * float(H.sf(point))
-        if kind == "I":
-            const = _lngamma_ratio([g + 1.0], [beta + g + 1.0])
-            return const * x ** beta * float(H.sf(point))
-        raise DomainError(f"unknown kind {kind!r}")
-    raise DomainError(f"unknown MDA {mda!r}")
+            return const * x ** (beta + c) * sf
+    elif kind == "J":  # the Weibull class
+        const = _lngamma_ratio([g + 1.0], [beta + g])
+        return const * x ** (beta - 1.0) * sf
+    elif kind == "I":
+        const = _lngamma_ratio([g + 1.0], [beta + g + 1.0])
+        return const * x ** beta * sf
+    raise DomainError(f"unknown kind {kind!r}")
 
 
 def rapid_variation_profile(H, w, mu, c, x_grid):
@@ -241,11 +219,12 @@ def rapid_variation_profile(H, w, mu, c, x_grid):
         raise DomainError("c must exceed 1")
     if math.isfinite(H.upper):
         raise DomainError("rapid variation profile needs an infinite endpoint")
-    out = []
-    for x in np.asarray(x_grid, dtype=float):
-        wx = float(w(x)) if w is not None else 1.0
-        out.append((x * wx) ** mu * float(H.sf(c * x)) / float(H.sf(x)))
-    return np.array(out)
+    x = np.asarray(x_grid, dtype=float)
+    sf = np.asarray(H.sf(x), dtype=float)
+    if np.any(sf == 0.0):
+        raise DomainError("rapid variation profile needs sf(x) > 0 on x_grid")
+    wx = 1.0 if w is None else np.asarray(w(x), dtype=float)
+    return (x * wx) ** mu * np.asarray(H.sf(c * x), dtype=float) / sf
 
 
 def power_transform_w(w: ScalingFunction, p) -> ScalingFunction:
@@ -289,41 +268,27 @@ def biased_tail_asymptote(H, q, c, x, kind):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def _limit_cdf(m: MdaClass):
-    if m.is_gumbel:
-        return lambda t: math.exp(-math.exp(-t))
-    if m.label == "frechet":
-        g = m.gamma
-        return lambda t: math.exp(-t ** (-g)) if t > 0 else 0.0
-    if m.label == "weibull":
-        g = m.gamma
-        return lambda t: math.exp(-(-t) ** g) if t < 0 else 1.0
-    raise DomainError("unclassified law has no extreme value limit")
-
-
 def max_stability_check(H, n, t_grid=None):
     """Sup distance between the law of the normalized sample maximum and its
     extreme value limit over t_grid."""
     m = H.mda()
-    limit = _limit_cdf(m)
-    if m.is_gumbel:
-        b_n = float(H.quantile(1.0 - 1.0 / n))
-        a_n = 1.0 / float(m.w(b_n))
-        if t_grid is None:
-            t_grid = np.linspace(-2.0, 6.0, 81)
-    elif m.label == "frechet":
-        b_n = 0.0
-        a_n = float(H.quantile(1.0 - 1.0 / n))
-        if t_grid is None:
-            t_grid = np.linspace(0.1, 8.0, 80)
-    else:
-        b_n = m.r_upper
-        a_n = m.r_upper - float(H.quantile(1.0 - 1.0 / n))
-        if t_grid is None:
-            t_grid = np.linspace(-6.0, -0.05, 80)
-    sup = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        fx = float(H.cdf(a_n * t + b_n))
-        val = 0.0 if fx <= 0 else math.exp(n * math.log(fx))
-        sup = max(sup, abs(val - limit(float(t))))
-    return sup
+    if m.label == "unclassified":
+        raise DomainError("unclassified law has no extreme value limit")
+    q = float(H.quantile(1.0 - 1.0 / n))
+    t = None if t_grid is None else np.asarray(t_grid, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m.is_gumbel:
+            b_n, a_n = q, 1.0 / float(m.w(q))
+            t = np.linspace(-2.0, 6.0, 81) if t is None else t
+            limit = np.exp(-np.exp(-t))
+        elif m.label == "frechet":
+            b_n, a_n = 0.0, q
+            t = np.linspace(0.1, 8.0, 80) if t is None else t
+            limit = np.where(t > 0, np.exp(-t ** -m.gamma), 0.0)
+        else:
+            b_n, a_n = m.r_upper, m.r_upper - q
+            t = np.linspace(-6.0, -0.05, 80) if t is None else t
+            limit = np.where(t < 0, np.exp(-(-t) ** m.gamma), 1.0)
+        # a zero cdf gives log 0 = -inf and a zero n-th power
+        fx = np.asarray(H.cdf(a_n * t + b_n), dtype=float)
+        return float(np.max(np.abs(np.exp(n * np.log(fx)) - limit), initial=0.0))

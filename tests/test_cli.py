@@ -253,3 +253,32 @@ def test_exit_code_usage():
 def test_exit_code_missing_file():
     assert main(["dist", "eval", "--dist", "/nonexistent.json",
                  "--what", "cdf", "--x", "1"]) == 1
+
+
+@pytest.mark.parametrize("command,header,row", [
+    ("dist", "x,cdf", "1,abc"),       # a non-numeric cell
+    ("dist", "x,cdf", "1"),           # a one-column row
+    ("dist", "x,cdf", "nan,0.5"),     # a NaN grid point
+    ("dist", "x,cdf", "1,nan"),       # a NaN cdf value
+    ("estimate", "u,v", "foo,0.3"),   # a non-numeric sample
+])
+def test_exit_code_malformed_csv(tmp_path, capsys, command, header, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n0,0\n{row}\n2,1\n3,1\n")
+    argv = (["dist", "eval", "--dist", str(bad), "--what", "cdf", "--x", "0.5"]
+            if command == "dist" else ["estimate", "--input", str(bad), "--x", "1"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3" in err and "Traceback" not in err
+
+
+def test_tail_ratio_unclassified_table(tmp_path, capsys):
+    # six grid points leave too few tail points to fit any class
+    table = tmp_path / "flat.csv"
+    table.write_text("x,cdf\n0,0\n1,0.2\n2,0.4\n3,0.6\n4,0.8\n5,1\n")
+    argv = ["tail", "ratio", "--dist", str(table), "--alpha", "1", "--beta", "1", "--x", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "classify" in err and "--mda" not in err
+    # the class is always the law's own: there is no option to name another
+    assert main(argv + ["--mda", "gumbel"]) == 64

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 
 from betascale import (
     Beta,
@@ -253,3 +254,34 @@ def test_tabulated_csv_roundtrip(tmp_path):
     path.write_text("x,cdf\n" + "\n".join(f"{x},{x**2}" for x in grid))
     tab = dist_from_json({"family": "tabulated", "path": "h.csv"}, base_dir=str(tmp_path))
     assert tab.cdf(0.5) == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan])
+def test_point_mass_rejects_nonfinite_location(c):
+    with pytest.raises(DomainError, match="finite"):
+        PointMass(c)
+
+
+@pytest.mark.parametrize("bad", ["grid", "values"])
+def test_tabulated_rejects_nan(bad):
+    grid, values = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)
+    (grid if bad == "grid" else values)[2] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        TabulatedCdf(grid, values)
+
+
+@pytest.mark.parametrize("params", [(5, 2, 1, 2), (2, 0, 1, 2), (3, 2, 1, 1), (2, -1, 1, 2),
+                                    (10, 0.5, 0.3, 0.7)])
+def test_kotz_crossing_matches_brentq(params):
+    k = Kotz(*params)
+    m, n_exp, r, theta = map(float, params)
+
+    def log_tail(x):
+        return math.log(m) + n_exp * math.log(x) - r * x ** theta
+
+    lo = (n_exp / (r * theta)) ** (1.0 / theta) if n_exp > 0 else 1e-12
+    hi = max(2.0 * lo, 1.0)
+    while log_tail(hi) > 0:
+        hi *= 2.0
+    assert k.x0 == pytest.approx(brentq(log_tail, lo, hi, xtol=1e-14, rtol=8.9e-16),
+                                 rel=1e-14, abs=0.0)

@@ -154,6 +154,15 @@ def test_invert_onestep_beta_recovers_pointmass():
         assert invert_onestep(F, 2.0, 2.0, x, allow_higher_order=True) == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("F,alpha,beta", [(Beta(2.0, 2.0), 2.0, 1.5),
+                                          (Exponential(1.0), 1.0, 2.0)])
+def test_invert_higher_order_below_the_default_step(F, alpha, beta):
+    # Y's survivor tends to 1 at 0; no difference node may reach y <= 0
+    for x in (1e-5, 1e-6):
+        val = invert_onestep(F, alpha, beta, x, allow_higher_order=True)
+        assert val == pytest.approx(1.0, abs=1e-6)
+
+
 def test_invert_onestep_uniform_half():
     val = invert_onestep(Uniform(0.0, 1.0), 1.0, 0.5, 0.5)
     assert val == pytest.approx(Beta(1.5, 0.5).sf(0.5), abs=1e-6)

@@ -172,6 +172,20 @@ def test_general_multiplier_sqrt_transform():
     assert gen == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("H,mda", [(Exponential(1.0), "gumbel"), (Uniform(0.0, 1.0), "weibull"),
+                                   (PointMass(1.0), "weibull")])
+def test_general_multiplier_j_needs_positive_exponent(H, mda):
+    # c*(1-u)**(b-1) is not integrable at b = 0
+    with pytest.raises(DomainError):
+        general_multiplier_tail(H, {"c": 1.0, "beta": 0.0}, 0.5, mda=mda, kind="J")
+
+
+def test_rapid_variation_profile_rejects_underflowed_survivor():
+    # sf(800) underflows to 0 for the unit exponential: the ratio is undefined
+    with pytest.raises(DomainError):
+        rapid_variation_profile(Exponential(1.0), None, 1.0, 2.0, [10.0, 800.0])
+
+
 def test_fractional_asymptote_gumbel_exact():
     out = fractional_asymptote(Exponential(1.0), 2.0, 0.0, 3.0, mda="gumbel", kind="I")
     direct, _ = quad(lambda y: (y - 3.0) * math.exp(-y), 3.0, 40.0)
