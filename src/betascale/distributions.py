@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import DomainError, NoDensityError
 
@@ -567,11 +566,63 @@ class PointMass(Distribution):
         return MdaClass("weibull", gamma=0.0, r_upper=self.c)
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """The one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_table(x, y):
+    """Power-form rows of the monotone cubic through (x, y) on each piece
+    [x_i, x_{i+1}], with s = v - x_i: a0, a1, a2, a3 of
+    a0 + a1 s + a2 s**2 + a3 s**3, then b0, b1, b2 of its derivative
+    b0 + b1 s + b2 s**2.
+
+    The slopes are Fritsch-Butland's weighted harmonic means of the
+    neighbouring secants, zero where the secants change sign or one is flat,
+    and Moler's one-sided three-point rule at the two ends.  Every row is
+    computed as scipy's PchipInterpolator and its derivative() compute it.
+    The constant rows hold 0.0 + a, the first step of scipy's summation.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    a3, a2, a1 = t / h, (m - d[:-1]) / h - t, d[:-1]
+    return np.array([0.0 + y[:-1], a1, a2, a3, 0.0 + a1, a2 * 2.0, a3 * 3.0])
+
+
+def _power_sum(s, *a):
+    """a[0] + a[1] s + a[2] s**2 (+ a[3] s**3) in the order scipy's PPoly
+    sums a piece: term by term from the constant, s**3 as (s s) s.  The
+    coefficients may broadcast against s."""
+    out, z = a[0] + a[1] * s, s
+    for ak in a[2:]:
+        z = z * s
+        out += ak * z
+    return out
+
+
 class TabulatedCdf(Distribution):
     """CDF given on a strictly increasing grid, PCHIP-interpolated.
 
-    The monotone interpolant supplies the density analytically; quantiles are
-    found by bisection.  Below the grid the CDF is 0, above it is 1.
+    The interpolant is a numpy PCHIP (`_pchip_table`) that reproduces scipy's
+    PchipInterpolator bit for bit: v in [x_i, x_{i+1}) takes piece i, the
+    last piece also holds grid[-1], and each piece sums its power form as
+    scipy's PPoly does, ((a0 + a1 s) + a2 s**2) + a3 (s**2 s).  The monotone
+    interpolant supplies the density analytically; quantiles are found by
+    bisection.  Below the grid the CDF is 0, above it is 1.
     """
 
     def __init__(self, grid, values, tail_hint=None, rectify=False):
@@ -592,13 +643,38 @@ class TabulatedCdf(Distribution):
         self.tail_hint = tail_hint
         self.lower = float(grid[0])
         self.upper = float(grid[-1])
-        self._interp = PchipInterpolator(self.grid, self.values, extrapolate=False)
-        self._deriv = self._interp.derivative()
-        # the derivative's power-form coefficients under a zero cubic term
-        # evaluate to the same bits as self._deriv
-        d = np.vstack([np.zeros((1, grid.size - 1)), self._deriv.c])
-        self._with_deriv = PPoly(np.stack([self._interp.c, d], axis=-1), self.grid,
-                                 extrapolate=False)
+        # one row x_i, a0..a3, b0..b2 per piece of sf_pdf, one piece per
+        # interval [start, end) of self._knots (self._ends): below the grid,
+        # the n - 1 cubics, grid[-1] itself (the CDF is values[-1] there, the
+        # density the last cubic's) and above the grid; points beyond the
+        # grid are clipped to self._span
+        self._span = np.nextafter(grid[0], -np.inf), np.nextafter(grid[-1], np.inf)
+        self._knots = np.append(grid, self._span[1])
+        self._ends = np.r_[-np.inf, self._knots], np.r_[self._knots, np.inf]
+        cubics = np.vstack([grid[:-1], _pchip_table(grid, self.values)]).T
+        top = 0.0 + self.values[-1]
+        self._table = np.vstack([
+            np.r_[self._span[0], np.zeros(7)], cubics,
+            np.r_[cubics[-1, 0], top, 0.0, 0.0, 0.0, cubics[-1, 5:]],
+            np.r_[self._span[1], top, np.zeros(6)]])
+        self._cubics = self._table[1:-2]
+
+    def _piece(self, v, columns):
+        """(v - x_i, the cubics' ``columns`` at i) for the piece i holding
+        each v in [grid[0], grid[-1]]: v in [x_i, x_{i+1}), the last piece
+        closed."""
+        p = self._cubics.take(np.searchsorted(self.grid[1:-1], v, "right"), axis=0)
+        return v - p[..., 0], [p[..., c] for c in columns]
+
+    def _interp(self, v):
+        """The cubic at v in [grid[0], grid[-1]]."""
+        s, a = self._piece(v, (1, 2, 3, 4))
+        return _power_sum(s, *a)
+
+    def _deriv(self, v):
+        """The cubic's derivative at v in [grid[0], grid[-1]]."""
+        s, b = self._piece(v, (5, 6, 7))
+        return _power_sum(s, *b)
 
     def cdf(self, x):
         def f(v):
@@ -619,26 +695,36 @@ class TabulatedCdf(Distribution):
 
     def sf_pdf(self, x):
         """(sf(x), pdf(x)) for an array x, equal to what sf and pdf return,
-        from one interval lookup per point: the cubic and its derivative
-        are the two columns of one piecewise polynomial."""
-        g = self.grid
-        cdf, pdf = self._with_deriv(np.clip(x, g[0], g[-1])).T
-        below, above = x < g[0], x > g[-1]
-        # the cubic is values[0] at g[0] exactly, but not values[-1] at g[-1]
-        sf = 1.0 - np.where(below, 0.0, np.where(x >= g[-1], self.values[-1], cdf))
-        return sf, np.where(below | above, 0.0, np.maximum(pdf, 0.0))
+        from one lookup per point in the pieces of ``self._table``.  A row of
+        a 2-D x that lies in one piece, as the nodes of a cell of
+        kernel_integral_cells do, takes one lookup for the row."""
+        v = np.clip(x, *self._span)
+        rows = v.ndim == 2
+        i = np.searchsorted(self._knots, v[:, :1] if rows else v, "right")
+        start, end = self._ends
+        if rows and not ((v >= start.take(i)) & (v < end.take(i))).all():
+            i = np.searchsorted(self._knots, v, "right")
+        p = self._table.take(i, axis=0)
+        s = v - p[..., 0]
+        a, b = [p[..., c] for c in (1, 2, 3, 4)], [p[..., c] for c in (5, 6, 7)]
+        return 1.0 - _power_sum(s, *a), np.maximum(_power_sum(s, *b), 0.0)
 
     def quantile(self, q):
         """Bisection on the interpolant, all points at once, each until
         hi - lo <= 1e-10 * max(1, |hi|)."""
         q = _probabilities(q, clamp=True)
-        u = q.ravel()
+        # in increasing u the midpoints of every round increase too, which
+        # makes their piece lookups cheap; each point bisects on its own
+        order = np.argsort(q, axis=None)
+        u = q.ravel()[order]
         end = np.where(u <= self.values[0], self.grid[0],
                        np.where(u >= self.values[-1], self.grid[-1], np.nan))
         inside = (u > self.values[0]) & (u < self.values[-1])
-        out = _bisect(lambda x, i: self._interp(x) < u[i],
-                      np.where(inside, self.grid[0], end), np.where(inside, self.grid[-1], end),
-                      lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
+        out = np.empty(u.size)
+        out[order] = _bisect(lambda x, i: self._interp(x) < u[i],
+                             np.where(inside, self.grid[0], end),
+                             np.where(inside, self.grid[-1], end),
+                             lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     def isf(self, s):

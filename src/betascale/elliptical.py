@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-# nothing here calls quad; perfbench/tracer.py wraps the module-level quad of
-# every quadrature layer, so the name stays bound
-from scipy.integrate import quad  # noqa: F401
 
 from .distributions import Distribution, PointMass, make_rng
 from .errors import DomainError, NoDensityError, NumericError
-from .fractional import QuadratureConfig, _gauss_kronrod, measure_knots
+from .fractional import QuadratureConfig, _gauss_kronrod, _quad_on_access, measure_knots
 
 __all__ = [
     "EllipticalModel",
@@ -32,6 +29,8 @@ __all__ = [
     "convergence_diagnostic",
     "DEFAULT_T_GRID",
 ]
+
+__getattr__ = _quad_on_access(globals())
 
 DEFAULT_T_GRID = np.linspace(-3.0, 3.0, 61)
 

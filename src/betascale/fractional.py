@@ -25,9 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-# nothing here calls quad; perfbench/tracer.py wraps the module-level quad of
-# every quadrature layer, so the name stays bound
-from scipy.integrate import quad  # noqa: F401
 
 from .distributions import Distribution, PointMass, TabulatedCdf
 from .errors import DomainError, NoDensityError, NumericError
@@ -40,6 +37,25 @@ __all__ = [
     "weyl_integral",
     "weyl_stieltjes",
 ]
+
+
+def _quad_on_access(ns):
+    """A module ``__getattr__`` that binds scipy's ``quad`` in ``ns`` when
+    first asked for it.  No library module calls ``quad``, and importing
+    scipy.integrate would lengthen the start-up of every ``betascale``
+    process by more than half; perfbench/tracer.py still wraps the
+    module-level ``quad`` of every quadrature layer."""
+    def __getattr__(name):
+        if name != "quad":
+            raise AttributeError(f"module {ns['__name__']!r} has no attribute {name!r}")
+        from scipy.integrate import quad
+        ns["quad"] = quad
+        return quad
+
+    return __getattr__
+
+
+__getattr__ = _quad_on_access(globals())
 
 
 @dataclass
@@ -225,11 +241,13 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
 
     The substitution u = (y-x)**beta removes the kernel singularity; each
     resulting cell takes fixed Gauss-Legendre, with the 8-vs-16-node
-    difference as the error estimate.  x may be a 1-D array (``fn`` must then
+    difference as the error estimate.  ``fn`` takes the nodes as a 2-D array
+    with one row per cell, each row between two consecutive knots, and
+    returns values of its shape.  x may be a 1-D array (``fn`` must then
     not depend on x): the cells of all its points form one flat batch,
     evaluated in blocks of whole points of at most ~_CELL_BLOCK nodes, and
     an array comes back.  With a tuple of k names as ``what``, ``fn`` returns
-    k stacked rows, one per integrand, and k results come back from one pass
+    k stacked arrays, one per integrand, and k results come back from one pass
     over the nodes.  cfg.check_points checks every point in grid order (the
     rows of a point in the order of ``what``) as "<name> at x=<x>".
     """
@@ -254,7 +272,7 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
         for (nodes, weights), out in ((_GL8, coarse), (_GL16, fine)):
             u = mid[:, None] + half[:, None] * nodes[None, :]
             y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
-            vals = np.asarray(fn(y.ravel()), dtype=float).reshape((len(names),) + u.shape)
+            vals = np.asarray(fn(y), dtype=float).reshape((len(names),) + u.shape)
             for row, row_vals in zip(out, vals):
                 sums = np.sum(half[:, None] * (weights[None, :] * row_vals), axis=1)
                 row[lo:hi] = np.bincount(own, weights=sums, minlength=hi - lo)

@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
-# nothing here calls quad; perfbench/tracer.py wraps the module-level quad of
-# every quadrature layer, so the name stays bound
-from scipy.integrate import quad  # noqa: F401
 
 from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError
-from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_terms, _stieltjes,
-                         _stieltjes_terms, kernel_integral_cells, measure_knots,
-                         power_weight)
+from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_terms, _quad_on_access,
+                         _stieltjes, _stieltjes_terms, kernel_integral_cells,
+                         measure_knots, power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -42,6 +39,8 @@ __all__ = [
     "corollary_check",
     "chain_forward",
 ]
+
+__getattr__ = _quad_on_access(globals())
 
 
 @dataclass(frozen=True)
@@ -471,7 +470,8 @@ def corollary_check(H, alpha, beta, x, cfg=None):
 
 
 def chain_forward(H, params, x, cfg=None):
-    """CDF at x after applying a sequence of independent beta multipliers.
+    """CDF at x (a scalar or an array) after applying a sequence of
+    independent beta multipliers.
 
     Each entry of ``params`` is a ScalingParams or an (alpha, beta) pair;
     the empty chain returns H(x).  Evaluation nests the mixture engine
@@ -487,7 +487,8 @@ def chain_forward(H, params, x, cfg=None):
     law = H
     for level, (a, b) in enumerate(pairs, start=1):
         law = _Chained(law, a, b, cfg, f"chain_forward level {level}")
-    return float(np.clip(law.cdf(x), 0.0, 1.0))
+    out = np.clip(law.cdf(x), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class _Chained:

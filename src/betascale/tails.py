@@ -289,6 +289,10 @@ def max_stability_check(H, n, t_grid=None):
             b_n, a_n = m.r_upper, m.r_upper - q
             t = np.linspace(-6.0, -0.05, 80) if t is None else t
             limit = np.where(t < 0, np.exp(-(-t) ** m.gamma), 1.0)
+        if not a_n > 0:
+            # a degenerate law: the normalised maximum is a constant
+            raise DomainError(f"normalising scale a_n = {a_n} is not positive, "
+                              "so the maximum has no extreme value limit")
         # a zero cdf gives log 0 = -inf and a zero n-th power
         fx = np.asarray(H.cdf(a_n * t + b_n), dtype=float)
         return float(np.max(np.abs(np.exp(n * np.log(fx)) - limit), initial=0.0))

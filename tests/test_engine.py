@@ -42,9 +42,11 @@ def test_library_never_calls_scipy_quad(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("scipy quad called")
 
-    monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+    # the modules bind scipy's quad on first access: patch them first, so that
+    # the undo puts scipy's quad back and not the forbidden one
     for mod in (fractional, scaling, elliptical):
         monkeypatch.setattr(mod, "quad", forbidden)
+    monkeypatch.setattr(scipy.integrate, "quad", forbidden)
     xs = np.array([0.3, 1.1, 2.5])
     for H in (Exponential(1.0), Beta(2.0, 2.0), Pareto(2.0, 1.0)):
         for fn in (forward_cdf, forward_sf, forward_pdf):

@@ -113,6 +113,20 @@ def test_chain_gamma_beta_closed_form():
                                      rel=1e-10, abs=1e-11)
 
 
+def test_chain_array_matches_per_point_calls():
+    # an array x returns an array of x's shape, a scalar x a float.  The
+    # engine's qk21 sums (a BLAS matrix-vector product) may round a node row
+    # differently with the batch size, so the two agree to a few ulps, not bitwise
+    xs = np.array([[0.05, 0.5, 1.0], [2.0, 3.5, 8.0]])
+    for H, params in ((Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)]),
+                      (Uniform(0.0, 1.0), [(2.0, 0.7)]), (Gamma(2.0, 1.0), [])):
+        out = chain_forward(H, params, xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        ref = [chain_forward(H, params, float(x)) for x in xs.ravel()]
+        assert all(isinstance(r, float) for r in ref)
+        np.testing.assert_allclose(out.ravel(), ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_chain_checks_every_level():
     cfg = QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2)
     with pytest.raises(NumericError, match=r"^chain_forward level \d at x=[0-9.e+-]+: ") as err:

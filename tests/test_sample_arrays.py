@@ -241,3 +241,26 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_needs_only_numpy_and_scipy_special():
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg")
+    code = f"import sys, betascale.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_quad_bindings_resolve_to_scipy_on_access():
+    # perfbench/tracer.py wraps each quadrature layer's module-level quad
+    code = ("import sys, scipy.integrate\n"
+            "from betascale import elliptical, fractional, scaling\n"
+            "print([m.quad is scipy.integrate.quad for m in (fractional, scaling, elliptical)])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[True, True, True]"
+    from betascale import fractional
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        fractional.nope

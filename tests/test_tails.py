@@ -278,3 +278,10 @@ def test_biased_tail_rayleigh_excess_quadrature():
                          ids=["weibull", "frechet", "gumbel"])
 def test_max_stability(dist):
     assert max_stability_check(dist, 10000) <= 0.01
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_max_stability_degenerate_law_raises(n):
+    # a point mass's normalised maximum is the constant c: a_n = r_upper - c = 0
+    with pytest.raises(DomainError, match="a_n = 0.0 is not positive"):
+        max_stability_check(PointMass(2.0), n)
