@@ -155,7 +155,10 @@ def _cmd_dist(args, argv):
     if args.action == "eval":
         d = _load_dist(args.dist)
         fn = {"cdf": d.cdf, "sf": d.sf, "pdf": d.pdf, "quantile": d.quantile}[args.what]
-        vals = [{"x": x, "value": float(fn(x))} for x in _parse_floats(args.x)]
+        xs = _parse_floats(args.x)
+        if not all(map(math.isfinite, xs)):
+            raise DomainError("--x must be finite")
+        vals = [{"x": x, "value": float(fn(x))} for x in xs]
         _emit_json(vals, _manifest(args, argv, [args.dist]), args.out)
     elif args.action == "sample":
         d = _load_dist(args.dist)
@@ -254,6 +257,8 @@ def _cmd_ellip(args, argv):
 
 
 def _cmd_estimate(args, argv):
+    if not math.isfinite(args.x):
+        raise DomainError("--x must be finite")
     batch = SampleBatch(*map(np.array, read_csv_columns(args.input, ("u", "v"))))
     k_n = None if args.kn == "auto" else int(args.kn)
     cfg = EstimatorConfig(k_n=k_n, radius_source=args.source.upper())

@@ -198,6 +198,10 @@ class Distribution:
     def pdf(self, x):
         raise NoDensityError(f"{type(self).__name__} has no density")
 
+    def sf_pdf(self, x):
+        """(sf(x), pdf(x)); laws that share work between the two override it."""
+        return self.sf(x), self.pdf(x)
+
     def quantile(self, q):
         raise NotImplementedError
 
@@ -225,9 +229,13 @@ class Distribution:
 
 
 def _as_float(x, fn):
-    out = fn(np.asarray(x, dtype=float))
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    """fn at x as a float, or an array of x's shape; NaN wherever x is NaN."""
+    v = np.asarray(x, dtype=float)
+    out = np.asarray(fn(v), dtype=float)
+    if out.ndim == 0:
+        return math.nan if math.isnan(v) else float(out)
+    nan = np.isnan(v)
+    return np.where(nan, np.nan, out) if nan.any() else out
 
 
 def _probabilities(q, clamp=False):

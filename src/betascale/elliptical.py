@@ -108,8 +108,8 @@ def conditional_density_point(m: EllipticalModel, x, t, w=None, cfg=None):
     drops out; w defaults to the radial law's scaling function.  For a
     Rayleigh radial this is the standard normal density identically.
     """
-    if x <= 0:
-        raise DomainError("conditioning level must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError("conditioning level must be positive and finite")
     if isinstance(m.radial, PointMass):
         raise NoDensityError("point-mass radial has no conditional density")
     cfg = cfg or QuadratureConfig(atol=1e-300, rtol=1e-9)
@@ -239,6 +239,8 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
     The Monte Carlo path returns only the estimate; its standard error is in
     reach via the private helper when needed by diagnostics.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError("conditioning level and threshold must be finite")
     cfg = cfg or QuadratureConfig(atol=1e-300, rtol=1e-9)
     if method == "quadrature":
         return _exceed_quadrature(m, x, y, cfg)

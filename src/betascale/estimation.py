@@ -222,8 +222,8 @@ def r_hat(radii, theta, k_n):
 
 def w_hat(fit: TailFitResult, x):
     """Fitted scaling function w(x) = r*theta*x**(theta-1)."""
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError("x must be positive and finite")
     return fit.r * fit.theta * x ** (fit.theta - 1.0)
 
 

@@ -15,7 +15,9 @@ removes the singularity before quadrature.
 
 Every integral of an analytic integrand goes through one adaptive
 Gauss-Kronrod engine (``_gauss_kronrod``), many points at once; tabulated
-laws with beta <= 1 take the fixed cell rule ``kernel_integral_cells``.
+laws with beta <= 1 take the fixed cell rule ``kernel_integral_cells``,
+one integrand over many points.  Each point's value depends on that point
+alone, not on the other points of its call.
 """
 
 from __future__ import annotations
@@ -75,22 +77,16 @@ class QuadratureConfig:
             )
 
     def check_points(self, x, value, err, what):
-        """Check integrals at the points of ``x`` (a scalar or 1-D array) in
-        order: ``what`` names one integral, or is a tuple of k names with k
-        rows of ``value`` and ``err``, checked in its order at each point.
-        Each goes through ``check`` as "<name> at x=<x>"; the first failure
-        raises its NumericError with that point as ``x``."""
-        names = (what,) if isinstance(what, str) else tuple(what)
-        xs = np.ravel(x).tolist()
-        rows = zip(np.reshape(value, (len(names), len(xs))).T.tolist(),
-                   np.reshape(err, (len(names), len(xs))).T.tolist())
-        for xi, (vs, es) in zip(xs, rows):
-            for name, v, e in zip(names, vs, es):
-                try:
-                    self.check(v, e, f"{name} at x={xi}")
-                except NumericError as exc:
-                    exc.x = xi
-                    raise
+        """Check the integrals named ``what`` at the points of ``x`` (a scalar
+        or 1-D array) in order, each through ``check`` as "<what> at x=<x>";
+        the first failure raises its NumericError with that point as ``x``."""
+        for xi, v, e in zip(np.ravel(x).tolist(), np.ravel(value).tolist(),
+                            np.ravel(err).tolist()):
+            try:
+                self.check(v, e, f"{what} at x={xi}")
+            except NumericError as exc:
+                exc.x = xi
+                raise
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:
@@ -116,14 +112,15 @@ _TINY = np.finfo(float).tiny
 
 def _qk21(f, half):
     """qk21 on rows of node values ``f`` over intervals of half-length
-    ``half`` > 0: (integrals, QUADPACK error estimates)."""
-    resk = f @ _GK_WK
-    resg = f @ _GK_WG
-    resabs = np.abs(f) @ _GK_WK * half
+    ``half`` > 0: (integrals, QUADPACK error estimates).  Each row is summed
+    on its own, so a row's result does not depend on the other rows."""
     # a non-finite node value gives a non-finite result, which the caller's
     # check reports; it needs no warning here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WK * half
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resk = (f * _GK_WK).sum(axis=1)
+        resg = (f * _GK_WG).sum(axis=1)
+        resabs = (np.abs(f) * _GK_WK).sum(axis=1) * half
+        resasc = (np.abs(f - 0.5 * resk[:, None]) * _GK_WK).sum(axis=1) * half
         err = np.abs(resk - resg) * half
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -246,20 +243,17 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
     returns values of its shape.  x may be a 1-D array (``fn`` must then
     not depend on x): the cells of all its points form one flat batch,
     evaluated in blocks of whole points of at most ~_CELL_BLOCK nodes, and
-    an array comes back.  With a tuple of k names as ``what``, ``fn`` returns
-    k stacked arrays, one per integrand, and k results come back from one pass
-    over the nodes.  cfg.check_points checks every point in grid order (the
-    rows of a point in the order of ``what``) as "<name> at x=<x>".
+    an array comes back (a float for scalar x).  cfg.check_points checks
+    every point in grid order as "<what> at x=<x>".
     """
     if not (0.0 < beta <= 1.0) or not math.isfinite(upper):
         raise DomainError("cell integration covers beta in (0,1] and finite range")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    names = (what,) if isinstance(what, str) else tuple(what)
     owner, left, right = _pieces(knots, beta, xs, upper)
     # piece offsets of the points; cells of points lo..hi-1 are first[lo]:first[hi]
     first = np.searchsorted(owner, np.arange(xs.size + 1))
-    fine = np.zeros((len(names), xs.size))
-    coarse = np.zeros((len(names), xs.size))
+    fine = np.zeros(xs.size)
+    coarse = np.zeros(xs.size)
     cost = first[1:] * 24
     lo = 0
     while lo < xs.size:
@@ -272,16 +266,14 @@ def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"
         for (nodes, weights), out in ((_GL8, coarse), (_GL16, fine)):
             u = mid[:, None] + half[:, None] * nodes[None, :]
             y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
-            vals = np.asarray(fn(y), dtype=float).reshape((len(names),) + u.shape)
-            for row, row_vals in zip(out, vals):
-                sums = np.sum(half[:, None] * (weights[None, :] * row_vals), axis=1)
-                row[lo:hi] = np.bincount(own, weights=sums, minlength=hi - lo)
+            vals = np.asarray(fn(y), dtype=float)
+            sums = np.sum(half[:, None] * (weights[None, :] * vals), axis=1)
+            out[lo:hi] = np.bincount(own, weights=sums, minlength=hi - lo)
         lo = hi
     scale = (1.0 / beta) * math.exp(-sc.gammaln(beta))
     val, err = scale * fine, scale * np.abs(fine - coarse)
-    cfg.check_points(xs, val, err, names)
-    out = tuple(val[:, 0].tolist()) if np.ndim(x) == 0 else tuple(val)
-    return out[0] if isinstance(what, str) else out
+    cfg.check_points(xs, val, err, what)
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def power_weight(c):
@@ -300,10 +292,11 @@ def measure_knots(H):
     return [float(v) for v in (H.lower, H.upper) if 0.0 < v < math.inf]
 
 
-def _kernel_terms(h, beta, x, upper, knots, cfg):
+def _kernel_integral(h, knots, beta, x, upper, cfg, what):
     """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * h(y) dy at every point
-    of the 1-D array x, beta > 0, for a vectorized h: unchecked (values,
-    errors), 0 where x >= upper; h counts as 0 where y overflows.
+    of the 1-D array x, beta > 0, for a vectorized h, checked by
+    cfg.check_points as ``what``: 0 where x >= upper; h counts as 0 where y
+    overflows.
 
     The pieces are those of _pieces, so a kink, jump or atom at a knot is a
     piece end on an infinite range too; for beta < 1 the kernel is 1/beta in
@@ -328,30 +321,32 @@ def _kernel_terms(h, beta, x, upper, knots, cfg):
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
-    return scale * val, scale * err
+    val, err = scale * val, scale * err
+    cfg.check_points(x, val, err, what)
+    return val
 
 
-def _stieltjes_terms(g, H, beta, x, cfg):
-    """(J_{beta,g} H)(x) at the points of the 1-D array x, beta > 0, for a
-    vectorized g (beta > 1 if H is tabulated): unchecked (values, errors)."""
-    if isinstance(H, PointMass):
-        above = x < H.c
-        gap = np.where(above, H.c - x, 1.0)
-        val = float(g(H.c)) * gap ** (beta - 1.0) * math.exp(-sc.gammaln(beta))
-        return np.where(above, val, 0.0), np.zeros(x.size)
-    return _kernel_terms(lambda y: g(y) * np.asarray(H.pdf(y), dtype=float), beta, x,
-                         H.upper, measure_knots(H), cfg)
+def _law_integral(h, H, beta, x, cfg, what):
+    """(1/Gamma(beta)) * int_x^r_H (y-x)**(beta-1) * h(y) dy at the points of
+    the 1-D array x, checked as ``what``, with H's knots as piece ends: by
+    the cell rule for a tabulated H with beta <= 1, by the engine otherwise."""
+    tabulated = isinstance(H, TabulatedCdf) and beta <= 1.0
+    rule = kernel_integral_cells if tabulated else _kernel_integral
+    return rule(h, measure_knots(H), beta, x, H.upper, cfg, what)
 
 
 def _stieltjes(g, H, beta, x, cfg):
-    """(J_{beta,g} H)(x) at the points of the 1-D array x, beta > 0, checked;
-    tabulated laws with beta <= 1 take the cell rule."""
+    """(J_{beta,g} H)(x) at the points of the 1-D array x, beta > 0, checked,
+    for a vectorized g; a point mass takes the exact atom formula."""
     what = f"weyl_stieltjes(beta={beta})"
-    if isinstance(H, TabulatedCdf) and beta <= 1.0:
-        return kernel_integral_cells(lambda y: g(y) * np.asarray(H.pdf(y), dtype=float),
-                                     H.grid, beta, x, H.upper, cfg, what=what)
-    val, err = _stieltjes_terms(g, H, beta, x, cfg)
-    cfg.check_points(x, val, err, what)
+    if not isinstance(H, PointMass):
+        return _law_integral(lambda y: g(y) * np.asarray(H.pdf(y), dtype=float), H, beta, x,
+                             cfg, what)
+    above = x < H.c
+    gap = np.where(above, H.c - x, 1.0)
+    val = float(g(H.c)) * gap ** (beta - 1.0) * math.exp(-sc.gammaln(beta))
+    val = np.where(above, val, 0.0)
+    cfg.check_points(x, val, np.zeros(x.size), what)
     return val
 
 
@@ -373,10 +368,8 @@ def weyl_integral(h, beta, x, upper=math.inf, cfg=None, points=None):
         return float(h(x))
     if not x < upper:
         return 0.0
-    xs = np.array([float(x)])
-    val, err = _kernel_terms(np.vectorize(h, otypes=[float]), beta, xs, upper,
-                             () if points is None else points, cfg)
-    cfg.check_points(xs, val, err, f"weyl_integral(beta={beta})")
+    val = _kernel_integral(np.vectorize(h, otypes=[float]), () if points is None else points,
+                           beta, np.array([float(x)]), upper, cfg, f"weyl_integral(beta={beta})")
     return float(val[0])
 
 

@@ -9,7 +9,9 @@ with the same identity holding for survivor functions and the density given
 by the Stieltjes companion.  The map can be undone: one explicit step when
 beta <= 1, or a chain of partial steps (each removing at most one unit of
 the beta parameter) for larger beta, materializing intermediate laws as
-tabulated CDFs.
+tabulated CDFs.  Each step is one fractional integral of
+-(y**(-base) * sf_F(y))', the survivor and density terms of the paper's
+step in one integrand (see _full_step).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from scipy import special as sc
 
 from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError
-from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_terms, _quad_on_access,
-                         _stieltjes, _stieltjes_terms, kernel_integral_cells,
-                         measure_knots, power_weight)
+from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_integral, _law_integral,
+                         _quad_on_access, _stieltjes, measure_knots, power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -160,9 +161,9 @@ def _weyl(H, p, x, kind, cfg):
     c = p.alpha + p.beta
     law = H.cdf if kind == "cdf" else H.sf
     upper = H.upper if kind == "sf" else math.inf
-    val, err = _kernel_terms(lambda y: y ** (-c) * np.asarray(law(y), dtype=float), p.beta, x,
-                             upper, measure_knots(H), cfg)
-    cfg.check_points(x, val, err, f"weyl_integral(beta={p.beta})")
+    val = _kernel_integral(lambda y: y ** (-c) * np.asarray(law(y), dtype=float),
+                           measure_knots(H), p.beta, x, upper, cfg,
+                           f"weyl_integral(beta={p.beta})")
     return x ** p.alpha * val
 
 
@@ -235,19 +236,19 @@ def _full_step(F, base, lam, x, cfg, stage=None):
 
     If F is the law of B_{base,lam} * Y this returns the survivor of Y at x:
 
-        sf_Y(x) = Gamma(base)/Gamma(base+lam) * x**(base+lam)
-                  * [base * (I_delta p_{-base-1} sf_F)(x)
-                     + (J_{delta, p_{-base}} F)(x)],   delta = 1 - lam.
+        sf_Y(x) = Gamma(base)/Gamma(base+lam) * x**(base+lam) * (I_delta h)(x),
+        h(y) = base * y**(-base-1) * sf_F(y) + y**(-base) * f_F(y)
+             = -(y**(-base) * sf_F(y))',   delta = 1 - lam.
 
-    delta = 0 invokes the order-zero conventions, so no numerical
-    differentiation is involved: the density term comes from F's own pdf.
+    That is base * (I_delta p_{-base-1} sf_F)(x) + (J_{delta, p_{-base}} F)(x)
+    as one integral, and h(x) itself at delta = 0, so no numerical
+    differentiation is involved.  h takes (sf, pdf) from one F.sf_pdf per
+    node; a law without a density raises NoDensityError.
 
     x may be a 1-D array, the grid of an inversion stage, which takes one
-    pass over it: at delta = 0 the order-zero closed form on the whole
-    array; for tabulated F one batch of cells, with one evaluation of F's
-    cubic and its derivative per node for both integrals; for other laws
-    one run of the adaptive engine per integral over the whole grid.  The
-    first point in grid order that fails its check raises NumericError, or
+    pass over it: at delta = 0 h on the whole array; for tabulated F one
+    batch of cells, otherwise one run of the adaptive engine.  The first
+    point in grid order that fails its check raises NumericError, or
     StageError naming ``stage`` and that x when a stage is given.
     """
     if not 0.0 < lam <= 1.0:
@@ -257,27 +258,13 @@ def _full_step(F, base, lam, x, cfg, stage=None):
         delta = 0.0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
 
-    def sf_term(y):
-        return y ** (-base - 1.0) * np.asarray(F.sf(y), dtype=float)
-
-    def both_terms(y):
+    def h(y):
         sf, pdf = F.sf_pdf(y)
-        return np.stack([y ** (-base - 1.0) * sf, y ** -base * pdf])
+        return base * (y ** (-base - 1.0) * sf) + y ** -base * pdf
 
     try:
-        if delta == 0.0:
-            vals = base * sf_term(xs) + xs ** -base * np.asarray(F.pdf(xs), dtype=float)
-        elif isinstance(F, TabulatedCdf):
-            t1, t2 = kernel_integral_cells(
-                both_terms, F.grid, delta, xs, F.upper, cfg,
-                what=("inversion survivor integral", f"weyl_stieltjes(beta={delta})"))
-            vals = base * t1 + t2
-        else:
-            t1, e1 = _kernel_terms(sf_term, delta, xs, F.upper, measure_knots(F), cfg)
-            t2, e2 = _stieltjes_terms(power_weight(-base), F, delta, xs, cfg)
-            cfg.check_points(xs, [t1, t2], [e1, e2],
-                             (f"weyl_integral(beta={delta})", f"weyl_stieltjes(beta={delta})"))
-            vals = base * t1 + t2
+        vals = h(xs) if delta == 0.0 else _law_integral(h, F, delta, xs, cfg,
+                                                         f"weyl_integral(beta={delta})")
     except NumericError as exc:
         if stage is None:
             raise
@@ -337,8 +324,8 @@ def _invert_higher_order(F, alpha, beta, x, cfg):
     if delta == 0.0:
         val = dng(x)
     else:
-        val, err = _kernel_terms(dng, delta, x, F.upper, measure_knots(F), cfg)
-        cfg.check_points(x, val, err, f"weyl_integral(beta={delta})")
+        val = _kernel_integral(dng, measure_knots(F), delta, x, F.upper, cfg,
+                               f"weyl_integral(beta={delta})")
     val = val * (-1.0) ** n * math.exp(sc.gammaln(alpha) - sc.gammaln(alpha + beta)) \
         * x ** (alpha + beta)
     return np.clip(val, 0.0, 1.0)

@@ -282,3 +282,27 @@ def test_tail_ratio_unclassified_table(tmp_path, capsys):
     assert "classify" in err and "--mda" not in err
     # the class is always the law's own: there is no option to name another
     assert main(argv + ["--mda", "gumbel"]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "eval", "--what", "cdf", "--x", "nan"],
+    ["dist", "eval", "--what", "pdf", "--x", "1,inf"],
+    ["estimate", "--x", "nan", "--s", "0.9"],
+    ["estimate", "--x", "inf"],
+    ["ellip", "conditional", "--kind", "exceed", "--x", "1", "--y", "inf"],
+    ["ellip", "conditional", "--kind", "exceed", "--x", "1", "--y", "inf",
+     "--method", "montecarlo"],
+    ["ellip", "conditional", "--kind", "exceed", "--x", "nan", "--y", "1"],
+    ["ellip", "conditional", "--kind", "point", "--x", "nan"],
+    ["ellip", "conditional", "--kind", "point", "--x", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_exit_code_nonfinite_input(tmp_path, capsys, expo1, gauss_rho05, argv):
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({"family": "rayleigh", "sigma": 1.0}))
+    inputs = {"dist": ["--dist", expo1], "estimate": ["--input", gauss_rho05],
+              "ellip": ["--rho", "0.5", "--radial", str(ray)]}[argv[0]]
+    out = str(tmp_path / "out.json")
+    assert main(argv + inputs + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

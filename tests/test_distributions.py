@@ -262,6 +262,24 @@ def test_point_mass_rejects_nonfinite_location(c):
         PointMass(c)
 
 
+@pytest.mark.parametrize("law", [
+    Uniform(0.0, 1.0), Beta(2.0, 3.0), Gamma(2.0, 1.5), Exponential(1.0), Pareto(2.0, 1.0),
+    Rayleigh(1.0), Kotz(2, 0, 1, 2), PointMass(1.0),
+    TabulatedCdf(np.linspace(0.0, 3.0, 10), np.linspace(0.0, 1.0, 10))],
+    ids=lambda law: type(law).__name__)
+def test_nan_point_gives_nan(law):
+    x = np.array([np.nan, 0.5, np.nan])
+    for name in ("cdf", "sf", "pdf"):
+        if name == "pdf" and isinstance(law, PointMass):
+            continue        # no density to evaluate
+        fn = getattr(law, name)
+        assert math.isnan(fn(math.nan)), name
+        out = fn(x)
+        assert np.isnan(out[[0, 2]]).all() and out[1] == fn(0.5), name
+    if not isinstance(law, PointMass):
+        assert all(np.isnan(v[[0, 2]]).all() for v in law.sf_pdf(x))
+
+
 @pytest.mark.parametrize("bad", ["grid", "values"])
 def test_tabulated_rejects_nan(bad):
     grid, values = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)

@@ -102,6 +102,16 @@ def test_point_density_requires_density():
         conditional_density_point(EllipticalModel(0.0, PointMass(1.0)), 0.5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_conditioning_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        conditional_density_point(GAUSS, bad, 0.0)
+    for method in ("quadrature", "montecarlo"):
+        for x, y in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                conditional_sf_exceed(GAUSS, x, y, method=method, n=100)
+
+
 # ---------------------------------------------------------------------------
 # exceedance conditioning
 

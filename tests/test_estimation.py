@@ -214,6 +214,12 @@ def test_w_hat_rejects_nonpositive_x():
         w_hat(FIT, 0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_w_hat_rejects_nonfinite_x(x):
+    with pytest.raises(DomainError, match="finite"):
+        w_hat(FIT, x)
+
+
 def test_psi_hat_center():
     assert psi_hat(FIT, 0.37, 4.0, 0.37 * 4.0) == pytest.approx(0.5, abs=1e-14)
 

@@ -252,21 +252,21 @@ def test_stage_error_names_stage_and_x():
     plan = IterationPlan((1.5, 0.7))     # stage 1 has delta 0.2, stage 2 delta 0.3
     work = invert_iterative(F, 1.0, plan, grid).grid
     x = float(work[len(work) // 2])
-    with pytest.raises(StageError, match=rf"stage 2 failed at x={x}: weyl_stieltjes") as err:
-        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(**{"weyl_stieltjes(beta=0.3": [x]}))
+    with pytest.raises(StageError,
+                       match=rf"stage 2 failed at x={x}: weyl_integral\(beta=0\.3") as err:
+        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(**{"weyl_integral(beta=0.3": [x]}))
     assert err.value.stage == 2 and err.value.estimate is not None
-    with pytest.raises(StageError, match=rf"stage 1 failed at x={x}: inversion survivor") as err:
-        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(**{"inversion survivor": [x]}))
+    with pytest.raises(StageError, match=rf"stage 1 failed at x={x}: weyl_integral") as err:
+        invert_iterative(F, 1.0, plan, grid, cfg=_FailAt(weyl_integral=[x]))
     assert err.value.stage == 1
 
 
 def test_stage_error_first_x_in_grid_order():
-    # the batch checks all survivor integrals before the density integrals;
-    # the error must still name the first failing x in grid order
+    # failures listed out of order: the error names the first in grid order
     F = _tabulated()
     grid = np.geomspace(0.01, 5.0, 30)
-    cfg = _FailAt(**{"inversion survivor": [grid[20]], "weyl_stieltjes": [grid[7]]})
-    with pytest.raises(StageError, match=rf"stage 1 failed at x={grid[7]}: weyl_stieltjes") as err:
+    cfg = _FailAt(weyl_integral=[grid[20], grid[7]])
+    with pytest.raises(StageError, match=rf"stage 1 failed at x={grid[7]}: weyl_integral") as err:
         invert_iterative(F, 1.0, IterationPlan((0.5,)), grid, cfg=cfg)
     assert err.value.stage == 1
 
@@ -292,8 +292,8 @@ def test_failing_stage_evaluates_each_cell_node_once():
         seen[name] = 0
     x = float(grid[-1])
     with pytest.raises(StageError) as err:
-        _full_step(F, 1.0, 0.7, grid, _FailAt(**{"weyl_stieltjes": [x]}), stage=1)
-    assert str(err.value).startswith(f"stage 1 failed at x={x}: weyl_stieltjes(beta=")
+        _full_step(F, 1.0, 0.7, grid, _FailAt(weyl_integral=[x]), stage=1)
+    assert str(err.value).startswith(f"stage 1 failed at x={x}: weyl_integral(beta=")
     assert err.value.x == x and err.value.stage == 1
     assert seen == passing
 
@@ -309,8 +309,10 @@ def test_order_zero_stage_is_the_closed_form_on_the_grid():
                                    + x ** -base * float(F.pdf(x)))))
                    for x in map(float, grid)]
             assert _full_step(F, base, 1.0, grid, cfg) == pytest.approx(ref, rel=1e-15, abs=0.0)
-    with pytest.raises(NoDensityError):
-        _full_step(PointMass(1.0), 1.0, 1.0, grid, cfg)
+    # the stage integrates F's density at every order, which a point mass lacks
+    for lam in (1.0, 0.5):
+        with pytest.raises(NoDensityError):
+            _full_step(PointMass(1.0), 1.0, lam, grid, cfg)
 
 
 def test_numeric_error_carries_the_named_point():
@@ -334,17 +336,17 @@ def test_numeric_error_carries_the_named_point():
         chain_forward(Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)], 1.3,
                       cfg=QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2))
     assert f"at x={err.value.x}: " in str(err.value)
-    # an analytic law runs its stage point by point through scalar quadrature
+    # an analytic law runs its stage through the engine, one integral per point
     grid = np.array([0.1, 0.5, 2.0])
-    for term in ("weyl_integral(beta=0.5)", "weyl_stieltjes(beta=0.5)"):
-        cfg = _FailAt(**{term: [grid[1]]})
-        with pytest.raises(NumericError, match=rf"^{re.escape(term)} at x={grid[1]}:") as err:
-            _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg)
-        assert err.value.x == grid[1]
-        with pytest.raises(StageError, match=rf"^stage 2 failed at x={grid[1]}: "
-                                             rf"{re.escape(term)} at x={grid[1]}:") as err:
-            _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg, stage=2)
-        assert err.value.x == grid[1] and err.value.stage == 2
+    term = "weyl_integral(beta=0.5)"
+    cfg = _FailAt(**{term: [grid[1]]})
+    with pytest.raises(NumericError, match=rf"^{re.escape(term)} at x={grid[1]}:") as err:
+        _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg)
+    assert err.value.x == grid[1]
+    with pytest.raises(StageError, match=rf"^stage 2 failed at x={grid[1]}: "
+                                         rf"{re.escape(term)} at x={grid[1]}:") as err:
+        _full_step(Exponential(1.0), 1.0, 0.5, grid, cfg, stage=2)
+    assert err.value.x == grid[1] and err.value.stage == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """The Kumaraswamy node map of the mixture engine, its exact constant pieces,
-the nested chain of mixtures, and the fused two-integral inversion stage."""
+the nested chain of mixtures, and the one-lookup (sf, pdf) of a tabulated
+law that an inversion stage integrates."""
 
 import math
-import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sc
 
-from betascale import (Beta, Distribution, Exponential, Gamma, NumericError, PointMass,
-                       QuadratureConfig, Uniform, chain_forward, forward_cdf, forward_pdf,
-                       forward_sf, forward_tabulated)
-from betascale.fractional import kernel_integral_cells
-from betascale.scaling import _full_step, _mixture, _node_map
+from betascale import (Beta, Distribution, Exponential, Gamma, NumericError, Pareto,
+                       PointMass, QuadratureConfig, Uniform, chain_forward, forward_cdf,
+                       forward_pdf, forward_sf, forward_tabulated)
+from betascale.scaling import _mixture, _node_map
 
 GRID = (0.3, 1.0, 2.0, 4.5)
 
@@ -114,9 +113,8 @@ def test_chain_gamma_beta_closed_form():
 
 
 def test_chain_array_matches_per_point_calls():
-    # an array x returns an array of x's shape, a scalar x a float.  The
-    # engine's qk21 sums (a BLAS matrix-vector product) may round a node row
-    # differently with the batch size, so the two agree to a few ulps, not bitwise
+    # an array x returns an array of x's shape, a scalar x a float, and the
+    # engine sums each node row on its own, so the two agree bit for bit
     xs = np.array([[0.05, 0.5, 1.0], [2.0, 3.5, 8.0]])
     for H, params in ((Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)]),
                       (Uniform(0.0, 1.0), [(2.0, 0.7)]), (Gamma(2.0, 1.0), [])):
@@ -124,7 +122,17 @@ def test_chain_array_matches_per_point_calls():
         assert isinstance(out, np.ndarray) and out.shape == xs.shape
         ref = [chain_forward(H, params, float(x)) for x in xs.ravel()]
         assert all(isinstance(r, float) for r in ref)
-        np.testing.assert_allclose(out.ravel(), ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(out.ravel(), ref)
+
+
+@pytest.mark.parametrize("mode", ["weyl", "mixture"])
+def test_forward_array_bit_equal_to_point_calls(mode):
+    # a point's value does not depend on which other points share its call
+    xs = np.array([0.2, 0.5, 1.0, 2.0, 3.5, 8.0])
+    for H in (Exponential(1.0), Beta(2.0, 3.0), Gamma(2.7, 1.0), Pareto(2.0, 1.0)):
+        for fn in (forward_cdf, forward_sf, forward_pdf):
+            out = fn(H, 1.5, 0.7, xs, mode=mode)
+            assert np.array_equal(out, [fn(H, 1.5, 0.7, float(x), mode=mode) for x in xs])
 
 
 def test_chain_checks_every_level():
@@ -144,7 +152,7 @@ def test_chain_bounded_law():
 
 
 # ---------------------------------------------------------------------------
-# one node pass per inversion stage
+# (sf, pdf) from one lookup per node
 
 def _tabulated():
     return forward_tabulated(Exponential(1.0), 1.0, 1.5, n_points=120)
@@ -157,49 +165,3 @@ def test_sf_pdf_bit_equal_to_sf_and_pdf():
                         [F.grid[0] - 1e-12, F.upper + 1e-12, 0.0]])
     sf, pdf = F.sf_pdf(x)
     assert np.array_equal(sf, F.sf(x)) and np.array_equal(pdf, F.pdf(x))
-
-
-def test_cells_stacked_rows_match_single_rows():
-    F = _tabulated()
-    xs = np.concatenate([np.geomspace(1e-3, 0.9 * F.upper, 40), [F.upper]])
-    one = lambda y: y ** -2.5 * F.sf(y)
-    two = lambda y: y ** -1.5 * F.pdf(y)
-    cfg = QuadratureConfig(atol=1.0)
-    for beta in (0.3, 1.0):
-        r1, r2 = kernel_integral_cells(lambda y: np.stack([one(y), two(y)]), F.grid, beta, xs,
-                                       F.upper, cfg, what=("one", "two"))
-        assert np.array_equal(r1, kernel_integral_cells(one, F.grid, beta, xs, F.upper, cfg))
-        assert np.array_equal(r2, kernel_integral_cells(two, F.grid, beta, xs, F.upper, cfg))
-        s1, s2 = kernel_integral_cells(lambda y: np.stack([one(y), two(y)]), F.grid, beta,
-                                       float(xs[3]), F.upper, cfg, what=("one", "two"))
-        assert type(s1) is float and (s1, s2) == (r1[3], r2[3])
-
-
-def test_cells_stacked_rows_checked_in_grid_order():
-    F = _tabulated()
-    xs = np.geomspace(1e-2, 4.0, 12)
-
-    class Fail(QuadratureConfig):
-        def check(self, value, err, what):
-            if re.match(rf"two at x={xs[4]}$|one at x={xs[7]}$", what):
-                raise NumericError(f"{what}: forced", estimate=value)
-
-    with pytest.raises(NumericError, match=rf"^two at x={xs[4]}: forced"):
-        kernel_integral_cells(lambda y: np.stack([F.sf(y), F.pdf(y)]), F.grid, 0.5, xs,
-                              F.upper, Fail(), what=("one", "two"))
-
-
-def test_fused_stage_bit_equal_to_two_passes():
-    # the stage's two integrals as two separate cell passes, as sf and pdf
-    F = _tabulated()
-    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
-    grid = np.union1d(np.geomspace(1e-3, 6.0, 40), F.grid[::7])
-    for base, lam in ((1.5, 0.5), (2.0, 0.2)):
-        delta = 1.0 - lam
-        t1 = kernel_integral_cells(lambda y: y ** (-base - 1.0) * F.sf(y), F.grid, delta, grid,
-                                   F.upper, cfg)
-        t2 = kernel_integral_cells(lambda y: y ** -base * F.pdf(y), F.grid, delta, grid,
-                                   F.upper, cfg)
-        K = math.exp(sc.gammaln(base) - sc.gammaln(base + lam))
-        ref = np.clip(K * grid ** (base + lam) * (base * t1 + t2), 0.0, 1.0)
-        assert np.array_equal(_full_step(F, base, lam, grid, cfg), ref)

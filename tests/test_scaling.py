@@ -7,6 +7,7 @@ from betascale import (
     Beta,
     DomainError,
     Exponential,
+    Gamma,
     IterationPlan,
     PointMass,
     ScalingParams,
@@ -161,6 +162,19 @@ def test_invert_higher_order_below_the_default_step(F, alpha, beta):
     for x in (1e-5, 1e-6):
         val = invert_onestep(F, alpha, beta, x, allow_higher_order=True)
         assert val == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha,lam", [(0.7, 0.4), (2.0, 0.75), (1.3, 1.0)])
+def test_invert_onestep_gamma_is_exact(alpha, lam):
+    # Gamma(a + b) * B_{a,b} = Gamma(a): removing B_{alpha,lam} from Gamma(alpha)
+    # leaves Gamma(alpha + lam), through the engine and through the cell rule
+    xs = np.geomspace(0.01, 20.0, 40)
+    ref = Gamma(alpha + lam, 1.0).sf(xs)
+    F = Gamma(alpha, 1.0)
+    assert np.max(np.abs(invert_onestep(F, alpha, lam, xs) - ref)) <= 1e-12
+    grid = np.geomspace(1e-3, 40.0, 600)
+    table = TabulatedCdf(grid, F.cdf(grid))
+    assert np.max(np.abs(invert_onestep(table, alpha, lam, xs) - ref)) <= 1e-4
 
 
 def test_invert_onestep_uniform_half():
