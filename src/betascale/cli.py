@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -259,7 +260,7 @@ def _cmd_ellip(args, argv):
 def _cmd_estimate(args, argv):
     if not math.isfinite(args.x):
         raise DomainError("--x must be finite")
-    batch = SampleBatch(*map(np.array, read_csv_columns(args.input, ("u", "v"))))
+    batch = SampleBatch(*read_csv_columns(args.input, ("u", "v")))
     k_n = None if args.kn == "auto" else int(args.kn)
     cfg = EstimatorConfig(k_n=k_n, radius_source=args.source.upper())
     res = pipeline(batch, cfg)
@@ -309,7 +310,11 @@ def _cmd_check(args, argv):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: it holds no mutable
+    defaults and no append actions, so one parse leaves nothing behind for
+    the next."""
     p = _Parser(prog="betascale",
                 description="Beta random scaling of distributions: forward map, "
                             "inversion, tail asymptotics, elliptical conditionals, "

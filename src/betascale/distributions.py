@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "dist_from_json",
     "dist_to_json",
     "load_tabulated_csv",
+    "read_csv_columns",
 ]
 
 
@@ -824,30 +826,66 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def read_csv_columns(path, names):
-    """The two finite float columns of a CSV whose header, after any rows
-    starting with '#', is ``names``; later rows starting with '#' are
-    skipped too.  A malformed row raises DomainError naming its line."""
-    first, second = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _csv_body(fh, path, names):
+    """A csv reader over ``fh`` positioned past the header, which must be
+    ``names`` after any rows starting with '#'."""
+    reader = csv.reader(iter(fh.readline, ""))
+    header = next(reader, [])
+    while header and header[0].startswith("#"):
         header = next(reader, [])
-        while header and header[0].startswith("#"):
-            header = next(reader, [])
-        if [h.strip().lower() for h in header[:2]] != list(names):
-            raise DomainError(f"{path}: expected header '{','.join(names)}'")
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                a, b = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                a = b = math.nan
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise DomainError(f"{path}: line {reader.line_num}: expected two finite "
-                                  f"numbers, got {','.join(row)!r}")
-            first.append(a)
-            second.append(b)
+    if [h.strip().lower() for h in header[:2]] != list(names):
+        raise DomainError(f"{path}: expected header '{','.join(names)}'")
+    return reader
+
+
+def _finite_pair(row):
+    try:
+        return math.isfinite(float(row[0])) and math.isfinite(float(row[1]))
+    except (ValueError, IndexError):
+        return False
+
+
+def _load_body(fh, **options):
+    """The first two columns of the rest of ``fh`` as an (n, 2) float64
+    table, or None if numpy rejects a row."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2,
+                              quotechar='"', **options)
+    except ValueError:
+        return None
+
+
+def read_csv_columns(path, names):
+    """The two finite float64 columns of a CSV whose header, after any rows
+    starting with '#', is ``names``.  Later rows starting with '#', blank
+    rows and columns past the second are skipped.  A malformed row raises
+    DomainError naming its line.
+
+    The body is read in one numpy pass with comments off, which accepts a
+    subset of what the rules above allow and parses each number as
+    ``float()`` does.  Only when numpy rejects the body or reads a
+    non-finite value are the rows walked, to name the first one that breaks
+    the rules; if none does, the body keeps to them in a form only
+    ``float()`` reads (comment rows after the header, ``1_000``) and numpy
+    reads it again through ``float()``.
+    """
+    with open(path, newline="") as fh:
+        rows = _csv_body(fh, path, names)
+        body = fh.tell()
+        table = _load_body(fh, comments=None)
+        if table is None or not np.isfinite(table).all():
+            fh.seek(body)
+            for row in rows:
+                if row and not row[0].startswith("#") and not _finite_pair(row):
+                    raise DomainError(f"{path}: line {rows.line_num}: expected two finite "
+                                      f"numbers, got {','.join(row)!r}")
+            fh.seek(body)
+            table = _load_body(fh, comments="#", converters=float)
+            if table is None:
+                raise DomainError(f"{path}: a comment row holds a quoted field")
+    first, second = table.T.copy()
     return first, second
 
 

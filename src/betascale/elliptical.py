@@ -253,6 +253,8 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
 def gaussian_approx_sf(m: EllipticalModel, x, y, w=None):
     """Gaussian tail approximation Phi_bar((y - rho*x) * c(x) / sqrt(1-rho^2))
     with c(x) = sqrt(w(x)/x)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError("conditioning level and threshold must be finite")
     if x <= 0:
         raise DomainError("conditioning level must be positive")
     w = w or m.scaling_w()

@@ -99,9 +99,28 @@ class PipelineResult:
 # ---------------------------------------------------------------------------
 # Kendall's tau
 
-def _tied_pairs(counts):
-    """Number of pairs sharing a value, from the count of each value."""
+def _run_starts(xs):
+    """True where sorted ``xs`` starts a run of equal values."""
+    starts = np.empty(xs.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+    return starts
+
+
+def _tied_pairs(starts):
+    """Number of pairs sharing a value, from the run starts of the sorted values."""
+    counts = np.diff(np.append(np.flatnonzero(starts), starts.size))
     return int(np.sum(counts * (counts - 1) // 2))
+
+
+def _dense_ranks(x):
+    """(ranks, starts): the rank of each value of ``x`` among its distinct
+    values, from one argsort, and the run starts of ``x`` sorted."""
+    order = np.argsort(x)
+    starts = _run_starts(x[order])
+    ranks = np.empty(x.size, dtype=np.int64)
+    ranks[order] = np.cumsum(starts) - 1
+    return ranks, starts
 
 
 def _inversions(ranks):
@@ -141,18 +160,19 @@ def kendall_rho(batch: SampleBatch):
     """(tau, rho): tau with ties counted as zero, rho = sin(pi*tau/2)."""
     n = batch.n
     n0 = n * (n - 1) // 2
-    _, ru, cu = np.unique(batch.u, return_inverse=True, return_counts=True)
-    if cu.size == 1:
+    ru, su = _dense_ranks(batch.u)
+    if not su[1:].any():
         raise DomainError("Kendall's tau undefined: all u values tied")
-    _, rv, cv = np.unique(batch.v, return_inverse=True, return_counts=True)
-    if cv.size == 1:
+    rv, sv = _dense_ranks(batch.v)
+    if not sv[1:].any():
         raise DomainError("Kendall's tau undefined: all v values tied")
-    # distinct (u, v) pairs in (u, v) order, with their counts: v is sorted
-    # within u-ties, so strict inversions of its ranks are exactly the
-    # discordant pairs; concordant = n0 - ties - discordant
-    key, cuv = np.unique(ru * n + rv, return_counts=True)
-    disc = _inversions(np.repeat(key % n, cuv))
-    ties = _tied_pairs(cu) + _tied_pairs(cv) - _tied_pairs(cuv)
+    # the pairs in (u, v) order: v is sorted within u-ties, so strict
+    # inversions of its ranks are exactly the discordant pairs;
+    # concordant = n0 - ties - discordant
+    key = ru * n + rv
+    key.sort()
+    disc = _inversions(key % n)
+    ties = _tied_pairs(su) + _tied_pairs(sv) - _tied_pairs(_run_starts(key))
     tau = (n0 - ties - 2 * disc) / n0
     rho = math.sin(math.pi * tau / 2.0)
     return tau, rho
@@ -234,6 +254,8 @@ def h_hat(fit: TailFitResult, x):
 
 def psi_hat(fit: TailFitResult, rho, x, y):
     """Plug-in Gaussian estimate of P(V > y | U > x)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError("conditioning level and threshold must be finite")
     if not -1.0 < rho < 1.0:
         raise DomainError("need |rho| < 1")
     z = h_hat(fit, x) * (y - rho * x) / math.sqrt(1.0 - rho ** 2)

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import betainc
 
 from betascale import EllipticalModel, Rayleigh, sample_elliptical
+from betascale import cli
 from betascale.cli import main
 
 
@@ -225,6 +227,45 @@ def test_check_replays_csv(tmp_path, expo1):
     assert main(["dist", "sample", "--dist", expo1, "--n", "50",
                  "--seed", "9", "--out", out]) == 0
     assert main(["check", "--file", out]) == 0
+
+
+REPLAY_DIR = os.path.join(os.path.dirname(__file__), "data", "replay")
+
+
+@pytest.mark.parametrize("name", ["est.json", "sample.csv", "inv.csv"])
+def test_check_replays_captured_outputs(monkeypatch, capsys, name):
+    # outputs written by an earlier version of the code: the current one
+    # must reproduce them byte for byte
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.chdir(REPLAY_DIR)
+    assert main(["check", "--file", name]) == 0
+    assert capsys.readouterr().out == f"check: OK {name}\n"
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys, expo1, pareto2):
+    out = str(tmp_path / "eval.json")
+    calls = [
+        ["dist", "eval", "--dist", expo1, "--what", "sf", "--x", "1,2", "--out", out],
+        ["dist", "eval", "--dist", expo1, "--nonsense"],
+        ["tail", "ratio", "--dist", pareto2, "--alpha", "1", "--beta", "1", "--x", "2,4"],
+        ["check", "--file", out],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        with open(out, "rb") as fh:
+            return code, captured.out, captured.err, fh.read()
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert [r[0] for r in reused] == [0, 64, 0, 0]
+    assert reused == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_exit_code_domain_error(tmp_path):

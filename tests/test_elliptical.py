@@ -112,6 +112,13 @@ def test_nonfinite_conditioning_rejected(bad):
                 conditional_sf_exceed(GAUSS, x, y, method=method, n=100)
 
 
+@pytest.mark.parametrize("x,y", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                 (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf)])
+def test_gaussian_approx_rejects_nonfinite(x, y):
+    with pytest.raises(DomainError, match="finite"):
+        gaussian_approx_sf(GAUSS, x, y)
+
+
 # ---------------------------------------------------------------------------
 # exceedance conditioning
 

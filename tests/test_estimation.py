@@ -220,6 +220,13 @@ def test_w_hat_rejects_nonfinite_x(x):
         w_hat(FIT, x)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_psi_hat_rejects_nonfinite_y(y):
+    # a non-finite x already fails in w_hat
+    with pytest.raises(DomainError, match="finite"):
+        psi_hat(FIT, 0.5, 3.0, y)
+
+
 def test_psi_hat_center():
     assert psi_hat(FIT, 0.37, 4.0, 0.37 * 4.0) == pytest.approx(0.5, abs=1e-14)
 
