@@ -706,8 +706,8 @@ class TabulatedCdf(Distribution):
     def sf_pdf(self, x):
         """(sf(x), pdf(x)) for an array x, equal to what sf and pdf return,
         from one lookup per point in the pieces of ``self._table``.  A row of
-        a 2-D x that lies in one piece, as the nodes of a cell of
-        kernel_integral_cells do, takes one lookup for the row."""
+        a 2-D x that lies in one piece, as the nodes of a subinterval of the
+        quadrature engine do, takes one lookup for the row."""
         v = np.clip(x, *self._span)
         rows = v.ndim == 2
         i = np.searchsorted(self._knots, v[:, :1] if rows else v, "right")

@@ -13,11 +13,9 @@ with J_{0,g} H := g * h where h is the density of H.  For beta in (0, 1)
 the kernel is integrably singular at y = x; the substitution u = (y - x)**beta
 removes the singularity before quadrature.
 
-Every integral of an analytic integrand goes through one adaptive
-Gauss-Kronrod engine (``_gauss_kronrod``), many points at once; tabulated
-laws with beta <= 1 take the fixed cell rule ``kernel_integral_cells``,
-one integrand over many points.  Each point's value depends on that point
-alone, not on the other points of its call.
+Every kernel integral goes through one adaptive Gauss-Kronrod engine
+(``_gauss_kronrod``), many points at once.  Each point's value depends on
+that point alone, not on the other points of its call.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .errors import DomainError, NoDensityError, NumericError
 
 __all__ = [
     "measure_knots",
-    "kernel_integral_cells",
     "QuadratureConfig",
     "power_weight",
     "weyl_integral",
@@ -105,7 +102,11 @@ _QK21 = np.array([
     (0.0, 0.149445554002916906, 0.0),
 ])
 _GK_X, _GK_WK, _GK_WG = np.concatenate([_QK21 * (-1.0, 1.0, 1.0), _QK21[-2::-1]]).T
-_GK_CHUNK = 1024
+# subintervals per call of an integrand.  A (320, 21) float array is 54 KB.
+# Freeing a block of 64 KB or more makes glibc's malloc give a free heap top
+# beyond 128 KB back to the system, so with larger node arrays each chunk's
+# temporaries page-fault anew: 512 rows took 3-7x the minor faults of 320
+_GK_CHUNK = 320
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -115,12 +116,13 @@ def _qk21(f, half):
     ``half`` > 0: (integrals, QUADPACK error estimates).  Each row is summed
     on its own, so a row's result does not depend on the other rows."""
     # a non-finite node value gives a non-finite result, which the caller's
-    # check reports; it needs no warning here
+    # check reports; it needs no warning here.  einsum without ``optimize``
+    # sums each row in its own loop, never through BLAS.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        resk = (f * _GK_WK).sum(axis=1)
-        resg = (f * _GK_WG).sum(axis=1)
-        resabs = (np.abs(f) * _GK_WK).sum(axis=1) * half
-        resasc = (np.abs(f - 0.5 * resk[:, None]) * _GK_WK).sum(axis=1) * half
+        resk = np.einsum("ij,j->i", f, _GK_WK)
+        resg = np.einsum("ij,j->i", f, _GK_WG)
+        resabs = np.einsum("ij,j->i", np.abs(f), _GK_WK) * half
+        resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]), _GK_WK) * half
         err = np.abs(resk - resg) * half
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -129,7 +131,8 @@ def _qk21(f, half):
     return resk * half, err
 
 
-def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1):
+def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
+                   affine=False):
     """Adaptive qk21 quadrature of n integrals at once: (values, errors).
 
     Integral i is value[i] (an exact part, 0 by default) plus the integrals
@@ -139,7 +142,9 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     bounded one by y = lo + w*t**2*(3 - 2t), w = hi - lo, an infinite one by
     y = lo + ((1 - t)/t)**2.  Their flat ends absorb an inverse-square-root
     singularity at a piece end, which bisection cannot resolve to 1e-8, and
-    the tail map keeps y**-p bounded in t for p >= 1.5.  Every round applies
+    the tail map keeps y**-p bounded in t for p >= 1.5.  An integrand with
+    no such end (``affine``) takes y = lo + w*t on bounded pieces instead,
+    whose constant Jacobian w scales each row's sums.  Every round applies
     qk21 with QUADPACK's error estimate to the new subintervals (at most
     _GK_CHUNK per call of ``fn``); each integral whose estimate exceeds
     max(epsabs, epsrel*|value|) bisects its largest-error subinterval, as
@@ -149,22 +154,29 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     value = np.zeros(n) if value is None else value
     start, width, tail = lo, hi - lo, np.isinf(hi)
 
+    def mapped(j, mid, half, infinite):
+        """(node values, half-lengths) of qk21 on the subintervals mid +- half
+        in t of the pieces j, all bounded or all infinite."""
+        a = start[j][:, None]
+        if infinite:
+            t = mid[:, None] + half[:, None] * _GK_X
+            r = (1.0 - t) / t
+            return fn(j, a + r * r) * 2.0 * r / (t * t), half
+        w = width[j]
+        if affine:
+            return fn(j, a + (w * mid)[:, None] + (w * half)[:, None] * _GK_X), w * half
+        t = mid[:, None] + half[:, None] * _GK_X
+        w = w[:, None]
+        return fn(j, a + w * t * t * (3.0 - 2.0 * t)) * 6.0 * w * t * (1.0 - t), half
+
     def rule(piece, lo, hi):
-        half = 0.5 * (hi - lo)
-        t = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_X
-        f = np.empty(t.shape)
-        for rows, infinite in ((~tail[piece], False), (tail[piece], True)):
-            if not rows.any():
-                continue
-            j, u = piece[rows], t[rows]
-            a = start[j][:, None]
-            if infinite:
-                r = (1.0 - u) / u
-                f[rows] = fn(j, a + r * r) * 2.0 * r / (u * u)
-            else:
-                w = width[j][:, None]
-                f[rows] = fn(j, a + w * u * u * (3.0 - 2.0 * u)) * 6.0 * w * u * (1.0 - u)
-        return _qk21(f, half)
+        mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
+        if not infinite.any() or infinite.all():
+            return _qk21(*mapped(piece, mid, half, infinite.any()))
+        f, scale = np.empty((piece.size, _GK_X.size)), np.empty(piece.size)
+        for rows, kind in ((~infinite, False), (infinite, True)):
+            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], kind)
+        return _qk21(f, scale)
 
     def evaluate(piece, lo, hi):
         out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK])
@@ -182,6 +194,8 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         etotal = np.bincount(point, weights=err, minlength=n)
         short = ((etotal > np.maximum(epsabs, epsrel * np.abs(total)))
                  & (np.bincount(point, minlength=n) < limit))
+        if not short.any():
+            return total, error + etotal
         # each integral's largest-error subinterval leads its run in this order
         order = np.lexsort((-err, point))
         ranked = point[order]
@@ -208,12 +222,6 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     return value, error
 
 
-# Gauss-Legendre nodes and weights of the coarse and the fine cell rule
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL16 = np.polynomial.legendre.leggauss(16)
-_CELL_BLOCK = 1 << 14   # nodes per batch of kernel_integral_cells, bounding its memory
-
-
 def _pieces(knots, beta, x, upper):
     """(owner, lo, hi): the pieces of the points of the 1-D array x in point
     order, one per gap between the ``knots`` inside (x, upper) (none where
@@ -229,51 +237,6 @@ def _pieces(knots, beta, x, upper):
     if beta < 1.0:
         lo, hi = (lo - x[owner]) ** beta, (hi - x[owner]) ** beta
     return owner, lo, hi
-
-
-def kernel_integral_cells(fn, knots, beta, x, upper, cfg, what="kernel integral"):
-    """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * fn(y) dy for a
-    vectorized integrand that is smooth between consecutive ``knots``, with
-    0 < beta <= 1 and a finite upper limit.
-
-    The substitution u = (y-x)**beta removes the kernel singularity; each
-    resulting cell takes fixed Gauss-Legendre, with the 8-vs-16-node
-    difference as the error estimate.  ``fn`` takes the nodes as a 2-D array
-    with one row per cell, each row between two consecutive knots, and
-    returns values of its shape.  x may be a 1-D array (``fn`` must then
-    not depend on x): the cells of all its points form one flat batch,
-    evaluated in blocks of whole points of at most ~_CELL_BLOCK nodes, and
-    an array comes back (a float for scalar x).  cfg.check_points checks
-    every point in grid order as "<what> at x=<x>".
-    """
-    if not (0.0 < beta <= 1.0) or not math.isfinite(upper):
-        raise DomainError("cell integration covers beta in (0,1] and finite range")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    owner, left, right = _pieces(knots, beta, xs, upper)
-    # piece offsets of the points; cells of points lo..hi-1 are first[lo]:first[hi]
-    first = np.searchsorted(owner, np.arange(xs.size + 1))
-    fine = np.zeros(xs.size)
-    coarse = np.zeros(xs.size)
-    cost = first[1:] * 24
-    lo = 0
-    while lo < xs.size:
-        spent = cost[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(cost, spent + _CELL_BLOCK, side="right")))
-        cells = slice(first[lo], first[hi])
-        own, xo = owner[cells] - lo, xs[owner[cells]]
-        half = 0.5 * (right[cells] - left[cells])
-        mid = 0.5 * (left[cells] + right[cells])
-        for (nodes, weights), out in ((_GL8, coarse), (_GL16, fine)):
-            u = mid[:, None] + half[:, None] * nodes[None, :]
-            y = u if beta == 1.0 else xo[:, None] + u ** (1.0 / beta)
-            vals = np.asarray(fn(y), dtype=float)
-            sums = np.sum(half[:, None] * (weights[None, :] * vals), axis=1)
-            out[lo:hi] = np.bincount(own, weights=sums, minlength=hi - lo)
-        lo = hi
-    scale = (1.0 / beta) * math.exp(-sc.gammaln(beta))
-    val, err = scale * fine, scale * np.abs(fine - coarse)
-    cfg.check_points(xs, val, err, what)
-    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def power_weight(c):
@@ -292,7 +255,7 @@ def measure_knots(H):
     return [float(v) for v in (H.lower, H.upper) if 0.0 < v < math.inf]
 
 
-def _kernel_integral(h, knots, beta, x, upper, cfg, what):
+def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * h(y) dy at every point
     of the 1-D array x, beta > 0, for a vectorized h, checked by
     cfg.check_points as ``what``: 0 where x >= upper; h counts as 0 where y
@@ -300,8 +263,13 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what):
 
     The pieces are those of _pieces, so a kink, jump or atom at a knot is a
     piece end on an infinite range too; for beta < 1 the kernel is 1/beta in
-    u.  As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
-    max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
+    u.  h takes the nodes as an (m, 21) array, one row per subinterval.
+    With ``affine`` (h piecewise polynomial between the knots) and
+    beta <= 1 the bounded pieces take the engine's affine map; for beta > 1
+    the kernel weight (y - x)**(beta - 1) is singular at x, which the
+    smoothstep map absorbs.  As quad was, the engine is asked for 0.01*atol
+    and 0.01*rtol, with max(cfg.limit, 3k + 50) subintervals for k knots
+    inside the range.
     """
     owner, lo, hi = _pieces(knots, beta, x, upper)
     xo = x[owner]
@@ -311,28 +279,29 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what):
         with np.errstate(over="ignore"):
             y = xp + u ** (1.0 / beta) if beta < 1.0 else u
         finite = np.isfinite(y)
-        y = np.where(finite, y, xp)
-        vals = np.asarray(h(y.ravel()), dtype=float).reshape(y.shape)
+        whole = finite.all()
+        if not whole:
+            y = np.where(finite, y, xp)
+        vals = np.asarray(h(y), dtype=float)
         if beta > 1.0:
             vals = vals * (y - xp) ** (beta - 1.0)
-        return np.where(finite, vals, 0.0)
+        return vals if whole else np.where(finite, vals, 0.0)
 
     count = np.bincount(owner, minlength=x.size)
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
-    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit)
+    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
+                              affine=affine and beta <= 1.0)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)
     return val
 
 
-def _law_integral(h, H, beta, x, cfg, what):
-    """(1/Gamma(beta)) * int_x^r_H (y-x)**(beta-1) * h(y) dy at the points of
-    the 1-D array x, checked as ``what``, with H's knots as piece ends: by
-    the cell rule for a tabulated H with beta <= 1, by the engine otherwise."""
-    tabulated = isinstance(H, TabulatedCdf) and beta <= 1.0
-    rule = kernel_integral_cells if tabulated else _kernel_integral
-    return rule(h, measure_knots(H), beta, x, H.upper, cfg, what)
+def _law_integral(h, H, beta, x, upper, cfg, what):
+    """_kernel_integral of h over (x, upper) with H's knots as piece ends,
+    affine for a tabulated H, whose integrands are piecewise polynomial."""
+    return _kernel_integral(h, measure_knots(H), beta, x, upper, cfg, what,
+                            affine=isinstance(H, TabulatedCdf))
 
 
 def _stieltjes(g, H, beta, x, cfg):
@@ -341,7 +310,7 @@ def _stieltjes(g, H, beta, x, cfg):
     what = f"weyl_stieltjes(beta={beta})"
     if not isinstance(H, PointMass):
         return _law_integral(lambda y: g(y) * np.asarray(H.pdf(y), dtype=float), H, beta, x,
-                             cfg, what)
+                             H.upper, cfg, what)
     above = x < H.c
     gap = np.where(above, H.c - x, 1.0)
     val = float(g(H.c)) * gap ** (beta - 1.0) * math.exp(-sc.gammaln(beta))

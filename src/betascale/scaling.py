@@ -24,8 +24,8 @@ from scipy import special as sc
 
 from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError
-from .fractional import (QuadratureConfig, _gauss_kronrod, _kernel_integral, _law_integral,
-                         _quad_on_access, _stieltjes, measure_knots, power_weight)
+from .fractional import (QuadratureConfig, _gauss_kronrod, _law_integral, _quad_on_access,
+                         _stieltjes, power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -161,9 +161,8 @@ def _weyl(H, p, x, kind, cfg):
     c = p.alpha + p.beta
     law = H.cdf if kind == "cdf" else H.sf
     upper = H.upper if kind == "sf" else math.inf
-    val = _kernel_integral(lambda y: y ** (-c) * np.asarray(law(y), dtype=float),
-                           measure_knots(H), p.beta, x, upper, cfg,
-                           f"weyl_integral(beta={p.beta})")
+    val = _law_integral(lambda y: y ** (-c) * np.asarray(law(y), dtype=float), H, p.beta, x,
+                        upper, cfg, f"weyl_integral(beta={p.beta})")
     return x ** p.alpha * val
 
 
@@ -246,10 +245,10 @@ def _full_step(F, base, lam, x, cfg, stage=None):
     node; a law without a density raises NoDensityError.
 
     x may be a 1-D array, the grid of an inversion stage, which takes one
-    pass over it: at delta = 0 h on the whole array; for tabulated F one
-    batch of cells, otherwise one run of the adaptive engine.  The first
-    point in grid order that fails its check raises NumericError, or
-    StageError naming ``stage`` and that x when a stage is given.
+    pass over it: at delta = 0 h on the whole array, otherwise one run of
+    the adaptive engine.  The first point in grid order that fails its
+    check raises NumericError, or StageError naming ``stage`` and that x
+    when a stage is given.
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError("each inversion step removes an amount in (0, 1]")
@@ -260,10 +259,10 @@ def _full_step(F, base, lam, x, cfg, stage=None):
 
     def h(y):
         sf, pdf = F.sf_pdf(y)
-        return base * (y ** (-base - 1.0) * sf) + y ** -base * pdf
+        return y ** -base * (base * sf / y + pdf)
 
     try:
-        vals = h(xs) if delta == 0.0 else _law_integral(h, F, delta, xs, cfg,
+        vals = h(xs) if delta == 0.0 else _law_integral(h, F, delta, xs, F.upper, cfg,
                                                          f"weyl_integral(beta={delta})")
     except NumericError as exc:
         if stage is None:
@@ -324,8 +323,7 @@ def _invert_higher_order(F, alpha, beta, x, cfg):
     if delta == 0.0:
         val = dng(x)
     else:
-        val = _kernel_integral(dng, measure_knots(F), delta, x, F.upper, cfg,
-                               f"weyl_integral(beta={delta})")
+        val = _law_integral(dng, F, delta, x, F.upper, cfg, f"weyl_integral(beta={delta})")
     val = val * (-1.0) ** n * math.exp(sc.gammaln(alpha) - sc.gammaln(alpha + beta)) \
         * x ** (alpha + beta)
     return np.clip(val, 0.0, 1.0)

@@ -1,11 +1,11 @@
-"""One adaptive Gauss-Kronrod engine for every analytic kernel integral.
+"""One adaptive Gauss-Kronrod engine for every kernel integral.
 
-The library computes no integral through scipy's ``quad``: weyl mode,
-analytic inversion stages, the corollary check and the elliptical
-conditionals all run through ``fractional._gauss_kronrod``.  The operators
-are checked here against mpmath references at fixed points, weyl mode
-against mixture mode over random (law, alpha, beta, x), and the public
-operators' domain and empty-range contract.
+The library computes no integral through scipy's ``quad``: weyl mode, the
+inversion stages, the corollary check and the elliptical conditionals all
+run through ``fractional._gauss_kronrod``.  The operators are checked here
+against mpmath references at fixed points, weyl mode against mixture mode
+over random (law, alpha, beta, x), and the public operators' domain and
+empty-range contract.
 """
 
 import json
@@ -24,8 +24,8 @@ import betascale.scaling as scaling
 from betascale import (Beta, DomainError, EllipticalModel, Exponential, Gamma, Pareto,
                        PointMass, Rayleigh, Uniform, conditional_density_point,
                        conditional_sf_exceed, corollary_check, forward_cdf, forward_pdf,
-                       forward_sf, invert_onestep, invert_step, power_weight, weyl_integral,
-                       weyl_stieltjes)
+                       forward_sf, forward_tabulated, invert_onestep, invert_step, power_weight,
+                       weyl_integral, weyl_stieltjes)
 from betascale.cli import main
 from betascale.scaling import _full_step
 
@@ -129,6 +129,51 @@ def test_weyl_stieltjes_matches_mpmath(beta):
         assert weyl_stieltjes(g, H, beta, x) == pytest.approx(ref, rel=1e-9)
     ref = float(mp.mpf(1.3) ** -1.2 * mp.mpf(0.8) ** (beta - 1) / mp.gamma(beta))
     assert weyl_stieltjes(g, PointMass(1.3), beta, 0.5) == pytest.approx(ref, rel=1e-13)
+
+
+def test_weyl_density_of_a_tabulated_law_at_small_x():
+    # the table's piecewise-quadratic density against QUADPACK over its knots,
+    # with the kernel singularity at x as QAWS's algebraic weight
+    T = forward_tabulated(Exponential(1.0), 1.0, 1.5, n_points=120)
+    alpha, beta = 1.5, 0.7
+    const = math.exp(math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta))
+    for x in (0.05, 0.2, 1.0):
+        f = lambda y: y ** (1.0 - alpha - beta) * float(T.pdf(y))
+        ends = [x] + [k for k in T.grid if x < k < T.upper] + [T.upper]
+        ref = scipy.integrate.quad(f, ends[0], ends[1], weight="alg", wvar=(beta - 1.0, 0.0),
+                                   epsabs=1e-14, epsrel=1e-12)[0]
+        for lo, hi in zip(ends[1:-1], ends[2:]):
+            ref += scipy.integrate.quad(lambda y: (y - x) ** (beta - 1.0) * f(y), lo, hi,
+                                        epsabs=1e-14, epsrel=1e-12)[0]
+        # checked under the default QuadratureConfig, whose rtol bounds the gap
+        assert forward_pdf(T, alpha, beta, x) == pytest.approx(const * x ** (alpha - 1.0) * ref,
+                                                               rel=1e-8)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1023, 1025])
+def test_qk21_row_does_not_depend_on_its_batch(m):
+    rng = np.random.default_rng(m)
+    f = rng.standard_normal((m, 21)) * rng.uniform(1e-3, 1e3, (m, 1))
+    half = rng.uniform(1e-6, 1.0, m)
+    f[1:2] = 0.0
+    for r in range(0, m, 3):
+        f[r, r % 21] = (math.inf, -math.inf, math.nan)[r // 3 % 3]
+    val, err = fractional._qk21(f, half)
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    for r in range(m):
+        v, e = fractional._qk21(f[r:r + 1], half[r:r + 1])
+        assert same(v, val[r:r + 1]) and same(e, err[r:r + 1]), r
+    pick = rng.permutation(m)[:(m + 1) // 2]
+    v, e = fractional._qk21(f[pick], half[pick])
+    assert same(v, val[pick]) and same(e, err[pick])
+    # the same rows 8 bytes off any wider alignment
+    moved = np.empty(f.size + 1)[1:].reshape(f.shape)
+    moved[...] = f
+    v, e = fractional._qk21(moved, half)
+    assert same(v, val) and same(e, err)
 
 
 # ---------------------------------------------------------------------------

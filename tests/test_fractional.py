@@ -111,7 +111,7 @@ def test_stieltjes_order_zero_is_weighted_density():
 
 
 def test_stieltjes_tabulated_singular_order():
-    # tabulated uniform, beta < 1: singular-cell path must match the closed form
+    # tabulated uniform, beta <= 1: the affine engine path must match the closed form
     grid = np.linspace(0.0, 1.0, 200)
     H = TabulatedCdf(grid, grid)
     g = lambda y: np.ones_like(np.asarray(y, dtype=float))
