@@ -27,7 +27,7 @@ from . import __version__
 from .distributions import dist_from_json, load_tabulated_csv, mda_classify, read_csv_columns
 from .elliptical import (EllipticalModel, conditional_density_point,
                          conditional_sf_exceed, sample_elliptical)
-from .errors import DomainError, NoDensityError, NumericError
+from .errors import DomainError, NoDensityError, NumericError, parse_number
 from .estimation import EstimatorConfig, SampleBatch, pipeline
 from .fractional import power_weight, weyl_integral, weyl_stieltjes
 from .scaling import (IterationPlan, forward_cdf, forward_pdf, forward_sf,
@@ -50,14 +50,14 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be a:b:n")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    a, b, n = parse_number(parts[0]), parse_number(parts[1]), parse_number(parts[2], int)
     if n < 1:
         raise DomainError("grid needs at least one point")
     return np.linspace(a, b, n)
 
 
 def _parse_floats(text):
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+    return [parse_number(t) for t in text.split(",") if t.strip() != ""]
 
 
 def _load_dist(path):
@@ -260,11 +260,11 @@ def _cmd_ellip(args, argv):
 def _cmd_estimate(args, argv):
     if not math.isfinite(args.x):
         raise DomainError("--x must be finite")
+    k_n = None if args.kn == "auto" else parse_number(args.kn, int)
+    levels = _parse_floats(args.s) if args.s else []
     batch = SampleBatch(*read_csv_columns(args.input, ("u", "v")))
-    k_n = None if args.kn == "auto" else int(args.kn)
     cfg = EstimatorConfig(k_n=k_n, radius_source=args.source.upper())
     res = pipeline(batch, cfg)
-    levels = _parse_floats(args.s) if args.s else []
     payload = {
         "rho_hat": res.rho,
         "tau_hat": res.tau,

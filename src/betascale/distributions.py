@@ -624,6 +624,11 @@ def _power_sum(s, *a):
     return out
 
 
+# the columns of a TabulatedCdf table row that hold the CDF's power form and
+# the density's
+_CDF, _PDF = (1, 2, 3, 4), (5, 6, 7)
+
+
 class TabulatedCdf(Distribution):
     """CDF given on a strictly increasing grid, PCHIP-interpolated.
 
@@ -632,7 +637,8 @@ class TabulatedCdf(Distribution):
     last piece also holds grid[-1], and each piece sums its power form as
     scipy's PPoly does, ((a0 + a1 s) + a2 s**2) + a3 (s**2 s).  The monotone
     interpolant supplies the density analytically; quantiles are found by
-    bisection.  Below the grid the CDF is 0, above it is 1.
+    bisection.  Below the grid the CDF is 0, above it is 1.  Every
+    evaluation reads one piece table through `_lookup`.
     """
 
     def __init__(self, grid, values, tail_hint=None, rectify=False):
@@ -648,12 +654,15 @@ class TabulatedCdf(Distribution):
             values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
         if np.any(np.diff(values) < 0) or values[0] < 0 or values[-1] > 1 + 1e-12:
             raise DomainError("tabulated CDF values must be nondecreasing in [0, 1]")
+        if tail_hint not in (None, "gumbel", "frechet", "weibull"):
+            raise DomainError(f"unknown tail hint {tail_hint!r}: "
+                              "use gumbel, frechet or weibull")
         self.grid = grid
         self.values = np.clip(values, 0.0, 1.0)
         self.tail_hint = tail_hint
         self.lower = float(grid[0])
         self.upper = float(grid[-1])
-        # one row x_i, a0..a3, b0..b2 per piece of sf_pdf, one piece per
+        # one row x_i, a0..a3, b0..b2 per piece of _lookup, one piece per
         # interval [start, end) of self._knots (self._ends): below the grid,
         # the n - 1 cubics, grid[-1] itself (the CDF is values[-1] there, the
         # density the last cubic's) and above the grid; points beyond the
@@ -663,52 +672,17 @@ class TabulatedCdf(Distribution):
         self._ends = np.r_[-np.inf, self._knots], np.r_[self._knots, np.inf]
         cubics = np.vstack([grid[:-1], _pchip_table(grid, self.values)]).T
         top = 0.0 + self.values[-1]
-        self._table = np.vstack([
+        self._table = np.ascontiguousarray(np.vstack([
             np.r_[self._span[0], np.zeros(7)], cubics,
             np.r_[cubics[-1, 0], top, 0.0, 0.0, 0.0, cubics[-1, 5:]],
-            np.r_[self._span[1], top, np.zeros(6)]])
-        self._cubics = self._table[1:-2]
+            np.r_[self._span[1], top, np.zeros(6)]]))  # rows in C order for take
 
-    def _piece(self, v, columns):
-        """(v - x_i, the cubics' ``columns`` at i) for the piece i holding
-        each v in [grid[0], grid[-1]]: v in [x_i, x_{i+1}), the last piece
-        closed."""
-        p = self._cubics.take(np.searchsorted(self.grid[1:-1], v, "right"), axis=0)
-        return v - p[..., 0], [p[..., c] for c in columns]
-
-    def _interp(self, v):
-        """The cubic at v in [grid[0], grid[-1]]."""
-        s, a = self._piece(v, (1, 2, 3, 4))
-        return _power_sum(s, *a)
-
-    def _deriv(self, v):
-        """The cubic's derivative at v in [grid[0], grid[-1]]."""
-        s, b = self._piece(v, (5, 6, 7))
-        return _power_sum(s, *b)
-
-    def cdf(self, x):
-        def f(v):
-            out = self._interp(np.clip(v, self.grid[0], self.grid[-1]))
-            out = np.where(v <= self.grid[0], self.values[0] * (v >= self.grid[0]), out)
-            out = np.where(v >= self.grid[-1], self.values[-1], out)
-            return np.where(v < self.grid[0], 0.0, out)
-
-        return _as_float(x, f)
-
-    def pdf(self, x):
-        def f(v):
-            inside = (v >= self.grid[0]) & (v <= self.grid[-1])
-            out = self._deriv(np.clip(v, self.grid[0], self.grid[-1]))
-            return np.where(inside, np.maximum(out, 0.0), 0.0)
-
-        return _as_float(x, f)
-
-    def sf_pdf(self, x):
-        """(sf(x), pdf(x)) for an array x, equal to what sf and pdf return,
-        from one lookup per point in the pieces of ``self._table``.  A row of
-        a 2-D x that lies in one piece, as the nodes of a subinterval of the
-        quadrature engine do, takes one lookup for the row."""
-        v = np.clip(x, *self._span)
+    def _lookup(self, x, *column_sets):
+        """The power sums of each of ``column_sets`` of ``self._table`` (the
+        CDF's 1-4, the density's 5-7) at x, from one lookup per point.  A row
+        of a 2-D x that lies in one piece, as the nodes of a subinterval of
+        the quadrature engine do, takes one lookup for the row."""
+        v = np.asarray(x).clip(*self._span)  # np.clip's dispatch costs more on few points
         rows = v.ndim == 2
         i = np.searchsorted(self._knots, v[:, :1] if rows else v, "right")
         start, end = self._ends
@@ -716,8 +690,18 @@ class TabulatedCdf(Distribution):
             i = np.searchsorted(self._knots, v, "right")
         p = self._table.take(i, axis=0)
         s = v - p[..., 0]
-        a, b = [p[..., c] for c in (1, 2, 3, 4)], [p[..., c] for c in (5, 6, 7)]
-        return 1.0 - _power_sum(s, *a), np.maximum(_power_sum(s, *b), 0.0)
+        return [_power_sum(s, *(p[..., c] for c in columns)) for columns in column_sets]
+
+    def cdf(self, x):
+        return _as_float(x, lambda v: self._lookup(v, _CDF)[0])
+
+    def pdf(self, x):
+        return _as_float(x, lambda v: np.maximum(self._lookup(v, _PDF)[0], 0.0))
+
+    def sf_pdf(self, x):
+        """(sf(x), pdf(x)) for an array x from one lookup per point."""
+        cdf, pdf = self._lookup(x, _CDF, _PDF)
+        return 1.0 - cdf, np.maximum(pdf, 0.0)
 
     def quantile(self, q):
         """Bisection on the interpolant, all points at once, each until
@@ -731,7 +715,7 @@ class TabulatedCdf(Distribution):
                        np.where(u >= self.values[-1], self.grid[-1], np.nan))
         inside = (u > self.values[0]) & (u < self.values[-1])
         out = np.empty(u.size)
-        out[order] = _bisect(lambda x, i: self._interp(x) < u[i],
+        out[order] = _bisect(lambda x, i: self._lookup(x, _CDF)[0] < u[i],
                              np.where(inside, self.grid[0], end),
                              np.where(inside, self.grid[-1], end),
                              lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
@@ -810,10 +794,12 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
                 candidates["weibull"] = (r2, MdaClass("weibull", gamma=slope,
                                                       r_upper=r_up, r_squared=r2))
     if hint in (None, "gumbel"):
-        slope, intercept, r2 = _linfit(np.log(xs), np.log(-np.log(ss)))
-        if slope > 0:
-            w = ScalingFunction.power(math.exp(intercept), slope)
-            candidates["gumbel"] = (r2, MdaClass("gumbel", w=w, r_squared=r2))
+        keep = ss < 1.0  # log(-log(sf)) needs sf < 1
+        if keep.sum() >= min_points:
+            slope, intercept, r2 = _linfit(np.log(xs[keep]), np.log(-np.log(ss[keep])))
+            if slope > 0:
+                w = ScalingFunction.power(math.exp(intercept), slope)
+                candidates["gumbel"] = (r2, MdaClass("gumbel", w=w, r_squared=r2))
 
     if not candidates:
         return MdaClass("unclassified", confident=False)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parse of a number
+from text that raises one."""
 
 
 class DomainError(ValueError):
@@ -28,3 +29,12 @@ class StageError(NumericError):
     def __init__(self, message, stage, estimate=None, x=None):
         super().__init__(message, estimate, x)
         self.stage = stage
+
+
+def parse_number(text, kind=float):
+    """``kind(text)``, or DomainError naming ``text`` if it is not a number."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"not {what}: {text!r}") from None

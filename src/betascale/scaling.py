@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sc
 
 from .distributions import Distribution, TabulatedCdf
-from .errors import DomainError, NumericError, StageError
+from .errors import DomainError, NumericError, StageError, parse_number
 from .fractional import (QuadratureConfig, _gauss_kronrod, _law_integral, _quad_on_access,
                          _stieltjes, power_weight)
 
@@ -381,7 +381,7 @@ class IterationPlan:
 
     @classmethod
     def parse(cls, text):
-        return cls([float(t) for t in str(text).split(",") if t.strip() != ""])
+        return cls([parse_number(t) for t in str(text).split(",") if t.strip() != ""])
 
     @classmethod
     def default_for(cls, beta):

@@ -286,6 +286,18 @@ def test_exit_code_malformed_dist_json(tmp_path, capsys, text, named):
     assert str(bad) in err and named in err and "Traceback" not in err
 
 
+def test_dist_mda_rejects_an_unknown_tail_hint(tmp_path, capsys):
+    table = tmp_path / "expo.csv"
+    table.write_text("x,cdf\n" + "".join(f"{x!r},{1.0 - math.exp(-x)!r}\n"
+                                         for x in np.linspace(0.05, 25.0, 400).tolist()))
+    law = tmp_path / "expo.json"
+    law.write_text(json.dumps({"family": "tabulated", "path": str(table),
+                               "tail_hint": "gumbl"}))
+    assert main(["dist", "mda", "--dist", str(law)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'gumbl'" in err and "Traceback" not in err
+
+
 def test_exit_code_usage():
     assert main(["no-such-command"]) == 64
     assert main(["dist", "eval", "--nonsense"]) == 64
@@ -336,11 +348,20 @@ def test_tail_ratio_unclassified_table(tmp_path, capsys):
     ["ellip", "conditional", "--kind", "exceed", "--x", "nan", "--y", "1"],
     ["ellip", "conditional", "--kind", "point", "--x", "nan"],
     ["ellip", "conditional", "--kind", "point", "--x", "inf"],
+    # malformed numbers
+    ["scale", "forward", "--alpha", "1", "--beta", "0.5", "--x-grid", "0:1:x"],
+    ["scale", "forward", "--alpha", "1", "--beta", "0.5", "--x-grid", "0.1:1:2.5"],
+    ["dist", "eval", "--what", "cdf", "--x", "1,abc"],
+    ["tail", "ratio", "--alpha", "1", "--beta", "0.5", "--x", "1,q"],
+    ["scale", "invert", "--alpha", "1", "--beta", "0.5", "--plan", "0.5,x"],
+    ["estimate", "--x", "1", "--kn", "abc"],
+    ["estimate", "--x", "1", "--s", "0.5,zz"],
 ], ids=lambda argv: " ".join(argv))
 def test_exit_code_nonfinite_input(tmp_path, capsys, expo1, gauss_rho05, argv):
     ray = tmp_path / "ray.json"
     ray.write_text(json.dumps({"family": "rayleigh", "sigma": 1.0}))
-    inputs = {"dist": ["--dist", expo1], "estimate": ["--input", gauss_rho05],
+    inputs = {"dist": ["--dist", expo1], "scale": ["--dist", expo1], "tail": ["--dist", expo1],
+              "estimate": ["--input", gauss_rho05],
               "ellip": ["--rho", "0.5", "--radial", str(ray)]}[argv[0]]
     out = str(tmp_path / "out.json")
     assert main(argv + inputs + ["--out", out]) == 1

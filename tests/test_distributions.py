@@ -218,8 +218,17 @@ def test_mda_unclassified_is_not_exception():
     grid = np.linspace(0.1, 1.0, 12)
     vals = np.linspace(0.0, 1.0, 12) ** 0.5
     # too-short, ambiguous grid: must come back unclassified, not raise
-    cls = mda_classify(TabulatedCdf(grid, vals, tail_hint="none"))
+    cls = mda_classify(TabulatedCdf(grid, vals))
     assert cls.label == "unclassified"
+
+
+def test_tabulated_rejects_an_unknown_tail_hint():
+    grid = np.linspace(0.05, 25.0, 400)
+    for hint in ("gumbl", "none", "Gumbel", ""):
+        with pytest.raises(DomainError, match=repr(hint)):
+            TabulatedCdf(grid, 1.0 - np.exp(-grid), tail_hint=hint)
+    tab = TabulatedCdf(grid, 1.0 - np.exp(-grid), tail_hint="gumbel")
+    assert mda_classify(tab).label == "gumbel"
 
 
 # ---------------------------------------------------------------------------

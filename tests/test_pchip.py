@@ -56,21 +56,24 @@ def scipy_pchip(tab):
 
 
 def test_values_and_derivative_equal_scipy(tables):
+    # the cubic on [grid[0], grid[-1]); at grid[-1] the CDF is values[-1]
     for name, tab in tables.items():
         p = scipy_pchip(tab)
         g = tab.grid
-        v = np.concatenate([make_rng(7, 0).uniform(g[0], g[-1], 2000), g[::-1]])
-        assert same_bits(tab._interp(v), p(v)), name
-        assert same_bits(tab._deriv(v), p.derivative()(v)), name
+        v = np.concatenate([make_rng(7, 0).uniform(g[0], g[-1], 2000), g[-2::-1]])
+        assert same_bits(tab.cdf(v), p(v)), name
+        v = np.append(v, g[-1])
+        assert same_bits(tab.pdf(v), np.maximum(p.derivative()(v), 0.0)), name
 
 
 def test_every_knot_and_both_ends_equal_scipy(tables):
     for name, tab in tables.items():
         p, d = scipy_pchip(tab), scipy_pchip(tab).derivative()
+        for v in tab.grid[:-1]:
+            assert same_bits(tab.cdf(v), p(v)), (name, v)
         for v in tab.grid:
-            assert same_bits(tab._interp(v), p(v)) and same_bits(tab._deriv(v), d(v)), (name, v)
+            assert same_bits(tab.pdf(v), np.maximum(d(v), 0.0)), (name, v)
         ends = np.array([tab.grid[0], tab.grid[-1]])
-        assert same_bits(tab._interp(ends), p(ends)), name
         assert same_bits(tab.cdf(ends), [tab.values[0], tab.values[-1]]), name
         assert same_bits(tab.pdf(ends), np.maximum(d(ends), 0.0)), name
 
@@ -81,13 +84,14 @@ def test_sf_pdf_bit_equal_to_sf_and_pdf(tables):
         x = np.concatenate([make_rng(8, 0).uniform(g[0] - 1.0, g[-1] + 1.0, 2000), g,
                             np.nextafter(g[[0, 0, -1, -1]], [-np.inf, np.inf] * 2),
                             [-np.inf, np.inf]])
-        sf, pdf = tab.sf_pdf(x)
-        assert same_bits(sf, tab.sf(x)) and same_bits(pdf, tab.pdf(x)), name
         # a 2-D x: rows inside one piece take one lookup, other rows one per point
         cells = g[:-1, None] + np.diff(g)[:, None] * np.linspace(0.05, 0.95, 8)
-        for y in (cells, x[:2000].reshape(-1, 16)):
+        for y in (x, cells, x[:2000].reshape(-1, 16)):
             sf, pdf = tab.sf_pdf(y)
             assert same_bits(sf, tab.sf(y)) and same_bits(pdf, tab.pdf(y)), name
+            # the end rules against scipy's interpolant under explicit masks
+            ref_sf, ref_pdf = _scipy_sf_pdf(tab, y)
+            assert same_bits(sf, ref_sf) and same_bits(pdf, ref_pdf), name
 
 
 def scipy_quantile(tab, u):
@@ -124,24 +128,28 @@ def test_tabulated_radial_streams_equal_scipy():
     grid = np.linspace(0.0, 7.0, 200)
     model = EllipticalModel(0.5, TabulatedCdf(grid, 1.0 - np.exp(-0.5 * grid ** 2)))
     ref = EllipticalModel(0.5, TabulatedCdf(grid, 1.0 - np.exp(-0.5 * grid ** 2)))
-    ref.radial._interp = scipy_pchip(ref.radial)
+    p = scipy_pchip(ref.radial)
+    ref.radial._lookup = lambda x, columns: [p(x)]  # quantile asks for the CDF alone
     for stream in (0, 1):
         assert same_bits(sample_elliptical(model, 2000, 11, stream=stream),
                          sample_elliptical(ref, 2000, 11, stream=stream))
 
 
-def _scipy_deriv(self, v):
-    return scipy_pchip(self).derivative()(v)
+def _scipy_cdf(self, x):
+    """cdf as a scipy evaluation under masks: 0 below the grid, values[-1]
+    from grid[-1] on."""
+    g, x = self.grid, np.asarray(x, dtype=float)
+    cdf = scipy_pchip(self)(np.clip(x, g[0], g[-1]))
+    out = np.where(x < g[0], 0.0, np.where(x >= g[-1], self.values[-1], cdf))
+    return float(out) if out.ndim == 0 else out
 
 
 def _scipy_sf_pdf(self, x):
-    """sf_pdf as two scipy evaluations under the masks of sf and pdf."""
-    g, p = self.grid, scipy_pchip(self)
-    v = np.clip(x, g[0], g[-1])
-    cdf, pdf = p(v), p.derivative()(v)
-    below, above = x < g[0], x > g[-1]
-    sf = 1.0 - np.where(below, 0.0, np.where(x >= g[-1], self.values[-1], cdf))
-    return sf, np.where(below | above, 0.0, np.maximum(pdf, 0.0))
+    """sf_pdf as two scipy evaluations under the masks of cdf and pdf."""
+    g = self.grid
+    pdf = scipy_pchip(self).derivative()(np.clip(x, g[0], g[-1]))
+    return 1.0 - _scipy_cdf(self, x), np.where((x < g[0]) | (x > g[-1]), 0.0,
+                                               np.maximum(pdf, 0.0))
 
 
 @pytest.mark.parametrize("law, alpha, beta", [(Exponential(1.0), 1.0, 0.5),
@@ -152,8 +160,7 @@ def test_round_trip_equal_under_scipy_pchip(monkeypatch, law, alpha, beta):
     grid = np.geomspace(max(1e-3, 1e-3 * hi), hi * 0.999, 50)
     plan = IterationPlan.default_for(beta)
     ours = invert_iterative(F, alpha, plan, grid)
-    monkeypatch.setattr(TabulatedCdf, "_interp", lambda self, v: scipy_pchip(self)(v))
-    monkeypatch.setattr(TabulatedCdf, "_deriv", _scipy_deriv)
+    monkeypatch.setattr(TabulatedCdf, "cdf", _scipy_cdf)
     monkeypatch.setattr(TabulatedCdf, "sf_pdf", _scipy_sf_pdf)
     theirs = invert_iterative(F, alpha, plan, grid)
     assert same_bits(ours.values, theirs.values)

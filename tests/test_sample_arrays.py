@@ -100,7 +100,7 @@ def scalar_bisection(tab, u):
     lo, hi = tab.grid[0], tab.grid[-1]
     while hi - lo > 1e-10 * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        if tab._interp(mid) < u:
+        if tab.cdf(mid) < u:
             lo = mid
         else:
             hi = mid

@@ -226,6 +226,8 @@ def test_iteration_plan_parsing():
         IterationPlan((1.0, 2.0))      # not decreasing
     with pytest.raises(DomainError):
         IterationPlan((3.0, 1.5))      # gap > 1
+    with pytest.raises(DomainError, match="'x'"):
+        IterationPlan.parse("0.5,x")   # not a number
 
 
 def test_invert_iterative_two_step_recovers_uniform():
