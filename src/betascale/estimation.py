@@ -65,6 +65,10 @@ class EstimatorConfig:
     radius_source: str = "R1"
 
     def resolve_k(self, n):
+        """k_n for a sample of n, capped at n // 3; an explicit k_n <= 0 or
+        a sample with n // 3 < 1 raises DomainError."""
+        if self.k_n is not None and self.k_n < 1:
+            raise DomainError(f"k_n must be a positive integer, got {self.k_n}")
         k = self.k_n if self.k_n is not None else int(math.ceil(n ** 0.6))
         k = min(k, n // 3)
         if k < 1:
@@ -298,6 +302,8 @@ def pipeline(batch: SampleBatch, cfg: EstimatorConfig | None = None):
     else:
         raise DomainError(f"unknown radius source {cfg.radius_source!r}")
     k = cfg.resolve_k(batch.n)
+    if cfg.k_n is not None and k < cfg.k_n:
+        warnings.append(f"k_n={cfg.k_n} capped at n // 3 = {k}")
     try:
         theta = gg_theta(radii, k)
         r = r_hat(radii, theta, k)

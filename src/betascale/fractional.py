@@ -269,7 +269,12 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     the kernel weight (y - x)**(beta - 1) is singular at x, which the
     smoothstep map absorbs.  As quad was, the engine is asked for 0.01*atol
     and 0.01*rtol, with max(cfg.limit, 3k + 50) subintervals for k knots
-    inside the range.
+    inside the range.  With at most 2 knots (so at most 3 pieces a point)
+    and cfg.limit >= 4, every piece starts as 4 subintervals, so that a
+    smooth analytic integrand mostly converges in the first round; an
+    ``affine`` integrand, whose polynomial pieces converge whole, and a
+    call with more knots start from whole pieces.  The start depends on the
+    call's knots alone, not on the other points.
     """
     owner, lo, hi = _pieces(knots, beta, x, upper)
     xo = x[owner]
@@ -289,8 +294,9 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
 
     count = np.bincount(owner, minlength=x.size)
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
+    parts = 4 if not affine and np.unique(knots).size <= 2 and cfg.limit >= 4 else 1
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
-                              affine=affine and beta <= 1.0)
+                              parts=parts, affine=affine and beta <= 1.0)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)

@@ -360,7 +360,7 @@ class IterationPlan:
     breakpoints: list = field(default_factory=list)
 
     def __post_init__(self):
-        bps = [float(b) for b in self.breakpoints]
+        bps = [parse_number(b) for b in self.breakpoints]
         if not all(math.isfinite(b) for b in bps):
             raise DomainError("plan breakpoints must be finite")
         if bps and bps[-1] == 0.0:
@@ -381,7 +381,7 @@ class IterationPlan:
 
     @classmethod
     def parse(cls, text):
-        return cls([parse_number(t) for t in str(text).split(",") if t.strip() != ""])
+        return cls([t for t in str(text).split(",") if t.strip() != ""])
 
     @classmethod
     def default_for(cls, beta):

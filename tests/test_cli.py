@@ -100,6 +100,25 @@ def test_estimate_recovers_rho(gauss_rho05, tmp_path):
     assert res["psi"][0]["value"] == pytest.approx(0.05, abs=1e-9)
 
 
+@pytest.mark.parametrize("kn", ["0", "-3"])
+def test_estimate_rejects_a_nonpositive_kn(gauss_rho05, tmp_path, capsys, kn):
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--input", gauss_rho05, "--x", "3", "--kn", kn,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: k_n must be a positive integer, got {kn}\n"
+    assert not out.exists()
+
+
+def test_estimate_warns_when_kn_is_capped(gauss_rho05, tmp_path):
+    out = str(tmp_path / "est.json")
+    assert main(["estimate", "--input", gauss_rho05, "--x", "3", "--kn", "100000",
+                 "--source", "r2", "--out", out]) == 0
+    res = read_json_out(out)["results"]
+    assert res["kn"] == 20000 // 3
+    assert res["warnings"] == [f"k_n=100000 capped at n // 3 = {20000 // 3}"]
+
+
 def test_dist_eval_and_mda(expo1, tmp_path):
     out = str(tmp_path / "eval.json")
     assert main(["dist", "eval", "--dist", expo1, "--what", "sf",

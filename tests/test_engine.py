@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 import betascale.elliptical as elliptical
 import betascale.fractional as fractional
 import betascale.scaling as scaling
-from betascale import (Beta, DomainError, EllipticalModel, Exponential, Gamma, Pareto,
-                       PointMass, Rayleigh, Uniform, conditional_density_point,
+from betascale import (Beta, DomainError, EllipticalModel, Exponential, Gamma, IterationPlan,
+                       Pareto, PointMass, Rayleigh, Uniform, conditional_density_point,
                        conditional_sf_exceed, corollary_check, forward_cdf, forward_pdf,
-                       forward_sf, forward_tabulated, invert_onestep, invert_step, power_weight,
-                       weyl_integral, weyl_stieltjes)
+                       forward_sf, forward_tabulated, invert_iterative, invert_onestep,
+                       invert_step, power_weight, weyl_integral, weyl_stieltjes)
 from betascale.cli import main
 from betascale.scaling import _full_step
 
@@ -174,6 +174,58 @@ def test_qk21_row_does_not_depend_on_its_batch(m):
     moved[...] = f
     v, e = fractional._qk21(moved, half)
     assert same(v, val) and same(e, err)
+
+
+# ---------------------------------------------------------------------------
+# the engine's starting subdivision
+
+# single weyl points whose engine rounds are counted, here and in CI:
+# three quantiles of each law, cdf, sf and pdf
+ROUND_LAWS = [(Exponential(1.0), 0.6, 0.4), (Gamma(2.5, 1.5), 2.0, 0.5),
+              (Rayleigh(1.0), 2.0, 0.7), (Pareto(2.0, 1.0), 2.0, 0.7),
+              (Uniform(0.0, 1.0), 2.0, 0.7), (Beta(2.0, 2.0), 1.5, 0.5)]
+
+
+def evaluate_single_weyl_points():
+    """Evaluate each ROUND_LAWS point alone in weyl mode; returns their number."""
+    n = 0
+    for H, alpha, beta in ROUND_LAWS:
+        for q in (0.1, 0.5, 0.9):
+            x = float(H.quantile(q))
+            for fn in (forward_cdf, forward_sf, forward_pdf):
+                assert math.isfinite(fn(H, alpha, beta, x, mode="weyl"))
+                n += 1
+    return n
+
+
+def test_single_weyl_points_take_few_engine_rounds(monkeypatch):
+    # one qk21 call per round: a round of _GK_CHUNK rows or more would be cut
+    # into calls of which the first has exactly _GK_CHUNK rows
+    calls = []
+    qk21 = fractional._qk21
+    monkeypatch.setattr(fractional, "_qk21", lambda f, half: calls.append(len(f)) or qk21(f, half))
+    n = evaluate_single_weyl_points()
+    assert max(calls) < fractional._GK_CHUNK
+    assert len(calls) / n <= 2.0
+
+
+def test_tabulated_stage_starts_from_whole_pieces(monkeypatch):
+    F = forward_tabulated(Exponential(1.0), 1.0, 0.5, n_points=60)
+    seen = []
+    engine = fractional._gauss_kronrod
+
+    def spy(fn, owner, lo, hi, n, *args, parts=1, **kwargs):
+        rows = []
+        seen.append((owner.size, parts, rows))
+        return engine(lambda j, y: rows.append(j) or fn(j, y), owner, lo, hi, n, *args,
+                      parts=parts, **kwargs)
+
+    monkeypatch.setattr(fractional, "_gauss_kronrod", spy)
+    invert_iterative(F, 1.0, IterationPlan([0.5]), np.geomspace(1e-2, 2.0, 12))
+    (pieces, parts, rows), = seen
+    assert parts == 1
+    # the first round is every piece once, in order; a bisection follows it
+    assert np.concatenate(rows)[:pieces].tolist() == list(range(pieces))
 
 
 # ---------------------------------------------------------------------------

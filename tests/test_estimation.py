@@ -300,3 +300,23 @@ def test_pipeline_unknown_source():
     with pytest.raises(DomainError):
         pipeline(SampleBatch([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]),
                  EstimatorConfig(radius_source="R9"))
+
+
+def test_resolve_k_names_a_nonpositive_k_n():
+    for k_n in (0, -3):
+        with pytest.raises(DomainError, match=f"k_n must be a positive integer, got {k_n}"):
+            EstimatorConfig(k_n=k_n).resolve_k(1000)
+    with pytest.raises(DomainError, match="sample too small"):
+        EstimatorConfig().resolve_k(2)
+    assert EstimatorConfig(k_n=5).resolve_k(1000) == 5
+    assert EstimatorConfig(k_n=500).resolve_k(1000) == 333
+
+
+def test_pipeline_warns_when_k_n_is_capped():
+    batch = SampleBatch.from_pairs(sample_elliptical(EllipticalModel(0.5, Rayleigh(1.0)), 300,
+                                                     seed=3))
+    res = pipeline(batch, EstimatorConfig(k_n=100000, radius_source="R2"))
+    assert res.fit.k_n == 100
+    assert res.warnings == ["k_n=100000 capped at n // 3 = 100"]
+    assert not pipeline(batch, EstimatorConfig(k_n=100, radius_source="R2")).warnings
+    assert not pipeline(batch, EstimatorConfig(radius_source="R2")).warnings

@@ -228,6 +228,9 @@ def test_iteration_plan_parsing():
         IterationPlan((3.0, 1.5))      # gap > 1
     with pytest.raises(DomainError, match="'x'"):
         IterationPlan.parse("0.5,x")   # not a number
+    with pytest.raises(DomainError, match="'x'"):
+        IterationPlan(["0.5", "x"])
+    assert IterationPlan(["1.5", 0.75]).breakpoints == [1.5, 0.75]
 
 
 def test_invert_iterative_two_step_recovers_uniform():
