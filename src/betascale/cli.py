@@ -27,7 +27,7 @@ from . import __version__
 from .distributions import dist_from_json, load_tabulated_csv, mda_classify, read_csv_columns
 from .elliptical import (EllipticalModel, conditional_density_point,
                          conditional_sf_exceed, sample_elliptical)
-from .errors import DomainError, NoDensityError, NumericError, parse_number
+from .errors import DomainError, NumericError, parse_number
 from .estimation import EstimatorConfig, SampleBatch, pipeline
 from .fractional import power_weight, weyl_integral, weyl_stieltjes
 from .scaling import (IterationPlan, forward_cdf, forward_pdf, forward_sf,
@@ -98,7 +98,10 @@ def _strip_out(argv):
     return cleaned
 
 
-def _manifest(args, argv, input_paths):
+def _manifest(args, argv):
+    """The run's manifest; its input is whichever of --dist, --radial or
+    --input the action has."""
+    inputs = [p for p in (getattr(args, k, None) for k in ("dist", "radial", "input")) if p]
     man = {
         "subcommand": args.command,
         "argv": _strip_out(argv),
@@ -106,7 +109,7 @@ def _manifest(args, argv, input_paths):
                    if k not in ("command", "func", "out") and v is not None},
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "inputs": {p: _digest(p) for p in input_paths},
+        "inputs": {p: _digest(p) for p in inputs},
     }
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
@@ -114,13 +117,17 @@ def _manifest(args, argv, input_paths):
     return man
 
 
-def _atomic_write(path, data: bytes):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-betascale-")
+def _write(text, out):
+    """Write text to standard output, or atomically to the file out."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                               prefix=".tmp-betascale-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+            fh.write(text.encode())
+        os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -129,11 +136,7 @@ def _atomic_write(path, data: bytes):
 
 def _emit_json(payload, manifest, out):
     doc = {"manifest": manifest, "results": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        _atomic_write(out, text.encode())
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header, rows, manifest, out):
@@ -143,61 +146,48 @@ def _emit_csv(header, rows, manifest, out):
     writer.writerow(header)
     for row in rows:
         writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    if out:
-        _atomic_write(out, buf.getvalue().encode())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), out)
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations; each gets the run's manifest from main
 
-def _cmd_dist(args, argv):
+def _cmd_dist(args, man):
+    d = _load_dist(args.dist)
     if args.action == "eval":
-        d = _load_dist(args.dist)
         fn = {"cdf": d.cdf, "sf": d.sf, "pdf": d.pdf, "quantile": d.quantile}[args.what]
         xs = _parse_floats(args.x)
         if not all(map(math.isfinite, xs)):
             raise DomainError("--x must be finite")
-        vals = [{"x": x, "value": float(fn(x))} for x in xs]
-        _emit_json(vals, _manifest(args, argv, [args.dist]), args.out)
+        _emit_json([{"x": x, "value": float(fn(x))} for x in xs], man, args.out)
     elif args.action == "sample":
-        d = _load_dist(args.dist)
         draws = d.sample(args.n, args.seed)
-        _emit_csv(["x"], [[float(v)] for v in draws],
-                  _manifest(args, argv, [args.dist]), args.out)
-    elif args.action == "mda":
-        d = _load_dist(args.dist)
+        _emit_csv(["x"], [[float(v)] for v in draws], man, args.out)
+    else:
         m = mda_classify(d)
         payload = {"label": m.label, "gamma": m.gamma, "r_upper": m.r_upper,
                    "confident": m.confident}
-        _emit_json(payload, _manifest(args, argv, [args.dist]), args.out)
+        _emit_json(payload, man, args.out)
     return 0
 
 
-def _cmd_frac(args, argv):
+def _cmd_frac(args, man):
     weight = power_weight(args.weight)
     if args.action == "weyl":
         upper = math.inf if args.upper is None else args.upper
         val = weyl_integral(weight, args.beta, args.x, upper=upper)
-        inputs = []
     else:
-        H = _load_dist(args.dist)
-        val = weyl_stieltjes(weight, H, args.beta, args.x)
-        inputs = [args.dist]
-    _emit_json({"value": val}, _manifest(args, argv, inputs), args.out)
+        val = weyl_stieltjes(weight, _load_dist(args.dist), args.beta, args.x)
+    _emit_json({"value": val}, man, args.out)
     return 0
 
 
-def _cmd_scale(args, argv):
+def _cmd_scale(args, man):
     d = _load_dist(args.dist)
-    man = _manifest(args, argv, [args.dist])
     if args.action == "forward":
         grid = _parse_grid(args.x_grid)
         fn = {"cdf": forward_cdf, "sf": forward_sf, "pdf": forward_pdf}[args.what]
         vals = fn(d, args.alpha, args.beta, grid, mode=args.mode)
-        rows = [[float(x), float(v)] for x, v in zip(grid, vals)]
-        _emit_csv(["x", "value"], rows, man, args.out)
     else:
         plan = (IterationPlan.parse(args.plan) if args.plan
                 else IterationPlan.default_for(args.beta))
@@ -208,13 +198,13 @@ def _cmd_scale(args, argv):
         else:
             x_hi = float(d.quantile(1.0 - 1e-4))
             grid = np.geomspace(max(x_hi * 1e-4, 1e-8), x_hi, 200)
-        rec = invert_iterative(d, args.alpha, plan, grid)
-        rows = [[float(x), float(v)] for x, v in zip(grid, rec.cdf(grid))]
-        _emit_csv(["x", "value"], rows, man, args.out)
+        vals = invert_iterative(d, args.alpha, plan, grid).cdf(grid)
+    rows = [[float(x), float(v)] for x, v in zip(grid, vals)]
+    _emit_csv(["x", "value"], rows, man, args.out)
     return 0
 
 
-def _cmd_tail(args, argv):
+def _cmd_tail(args, man):
     d = _load_dist(args.dist)
     mda = mda_classify(d).label
     if mda == "unclassified":
@@ -226,38 +216,33 @@ def _cmd_tail(args, argv):
         t = fn(d, args.alpha, args.beta, x)
         triples.append({"x": x, "prediction": t.prediction, "direct": t.direct,
                         "ratio": t.ratio})
-    _emit_json({"mda": mda, "triples": triples},
-               _manifest(args, argv, [args.dist]), args.out)
+    _emit_json({"mda": mda, "triples": triples}, man, args.out)
     return 0
 
 
-def _cmd_ellip(args, argv):
-    radial = _load_dist(args.radial)
-    model = EllipticalModel(rho=args.rho, radial=radial)
-    man = _manifest(args, argv, [args.radial])
+def _cmd_ellip(args, man):
+    model = EllipticalModel(rho=args.rho, radial=_load_dist(args.radial))
     if args.action == "simulate":
         pairs = sample_elliptical(model, args.n, args.seed)
-        rows = [[float(u), float(v)] for u, v in pairs]
-        _emit_csv(["u", "v"], rows, man, args.out)
+        _emit_csv(["u", "v"], [[float(u), float(v)] for u, v in pairs], man, args.out)
+    elif args.kind == "point":
+        t_grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(-3, 3, 61)
+        dens = conditional_density_point(model, args.x, t_grid)
+        payload = {"kind": "point", "x": args.x,
+                   "density": [{"t": float(t), "value": float(z)}
+                               for t, z in zip(t_grid, dens)]}
+        _emit_json(payload, man, args.out)
     else:
-        if args.kind == "point":
-            t_grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(-3, 3, 61)
-            dens = conditional_density_point(model, args.x, t_grid)
-            payload = {"kind": "point", "x": args.x,
-                       "density": [{"t": float(t), "value": float(z)}
-                                   for t, z in zip(t_grid, dens)]}
-        else:
-            if args.y is None:
-                raise DomainError("--y is required for kind=exceed")
-            val = conditional_sf_exceed(model, args.x, args.y,
-                                        method=args.method, n=args.n,
-                                        seed=args.seed)
-            payload = {"kind": "exceed", "x": args.x, "y": args.y, "value": val}
+        if args.y is None:
+            raise DomainError("--y is required for kind=exceed")
+        val = conditional_sf_exceed(model, args.x, args.y,
+                                    method=args.method, n=args.n, seed=args.seed)
+        payload = {"kind": "exceed", "x": args.x, "y": args.y, "value": val}
         _emit_json(payload, man, args.out)
     return 0
 
 
-def _cmd_estimate(args, argv):
+def _cmd_estimate(args, man):
     if not math.isfinite(args.x):
         raise DomainError("--x must be finite")
     k_n = None if args.kn == "auto" else parse_number(args.kn, int)
@@ -265,6 +250,7 @@ def _cmd_estimate(args, argv):
     batch = SampleBatch(*read_csv_columns(args.input, ("u", "v")))
     cfg = EstimatorConfig(k_n=k_n, radius_source=args.source.upper())
     res = pipeline(batch, cfg)
+    thetas = [res.theta_fn(args.x, s) for s in levels]
     payload = {
         "rho_hat": res.rho,
         "tau_hat": res.tau,
@@ -272,18 +258,15 @@ def _cmd_estimate(args, argv):
         "r_hat": res.fit.r,
         "kn": res.fit.k_n,
         "source": res.fit.source,
-        "psi": [{"x": args.x, "y": res.theta_fn(args.x, s),
-                 "value": res.psi(args.x, res.theta_fn(args.x, s))}
-                for s in levels],
-        "theta_fn": [{"x": args.x, "s": s, "value": res.theta_fn(args.x, s)}
-                     for s in levels],
+        "psi": [{"x": args.x, "y": th, "value": res.psi(args.x, th)} for th in thetas],
+        "theta_fn": [{"x": args.x, "s": s, "value": th} for s, th in zip(levels, thetas)],
         "warnings": res.warnings,
     }
-    _emit_json(payload, _manifest(args, argv, [args.input]), args.out)
+    _emit_json(payload, man, args.out)
     return 0
 
 
-def _cmd_check(args, argv):
+def _cmd_check(args, man):
     with open(args.file, "rb") as fh:
         original = fh.read()
     text = original.decode()
@@ -310,6 +293,15 @@ def _cmd_check(args, argv):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _flags(**flags):
+    """A parent parser declaring each flag (dest=add_argument keywords) once,
+    for every action that lists it in ``parents``."""
+    p = argparse.ArgumentParser(add_help=False)
+    for dest, kw in flags.items():
+        p.add_argument("--" + dest, **kw)
+    return p
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process: it holds no mutable
@@ -320,79 +312,52 @@ def _build_parser():
                             "inversion, tail asymptotics, elliptical conditionals, "
                             "and tail estimation.")
     sub = p.add_subparsers(dest="command", required=True)
+    real = dict(type=float, required=True)
+    count = dict(type=int, required=True)
+    out = _flags(out={})
+    law = _flags(dist=dict(required=True))
+    beta = _flags(beta=real)
+    point = _flags(x=real)
+    points = _flags(x=dict(required=True))
+    scaled = [law, _flags(alpha=real), beta]
+    draws = _flags(n=count, seed=count)
+    model = _flags(rho=real, radial=dict(required=True))
+    frac = [beta, point, _flags(weight=real)]
 
     d = sub.add_parser("dist", help="evaluate, sample, or classify a distribution")
     ds = d.add_subparsers(dest="action", required=True)
-    for name in ("eval", "sample", "mda"):
-        dp = ds.add_parser(name)
-        dp.add_argument("--dist", required=True)
-        dp.add_argument("--out")
-        if name == "eval":
-            dp.add_argument("--what", choices=["cdf", "sf", "pdf", "quantile"],
-                            required=True)
-            dp.add_argument("--x", required=True)
-        elif name == "sample":
-            dp.add_argument("--n", type=int, required=True)
-            dp.add_argument("--seed", type=int, required=True)
+    dp = ds.add_parser("eval", parents=[law, points, out])
+    dp.add_argument("--what", choices=["cdf", "sf", "pdf", "quantile"], required=True)
+    ds.add_parser("sample", parents=[law, draws, out])
+    ds.add_parser("mda", parents=[law, out])
     d.set_defaults(func=_cmd_dist)
 
     f = sub.add_parser("frac", help="fractional integral debugging")
     fs = f.add_subparsers(dest="action", required=True)
-    fw = fs.add_parser("weyl")
-    fw.add_argument("--beta", type=float, required=True)
-    fw.add_argument("--x", type=float, required=True)
-    fw.add_argument("--weight", type=float, required=True)
-    fw.add_argument("--upper", type=float)
-    fw.add_argument("--out")
-    fj = fs.add_parser("stieltjes")
-    fj.add_argument("--dist", required=True)
-    fj.add_argument("--beta", type=float, required=True)
-    fj.add_argument("--x", type=float, required=True)
-    fj.add_argument("--weight", type=float, required=True)
-    fj.add_argument("--out")
+    fs.add_parser("weyl", parents=frac + [out]).add_argument("--upper", type=float)
+    fs.add_parser("stieltjes", parents=[law, *frac, out])
     f.set_defaults(func=_cmd_frac)
 
     s = sub.add_parser("scale", help="forward beta scaling and its inversion")
     ss = s.add_subparsers(dest="action", required=True)
-    sf_ = ss.add_parser("forward")
-    sf_.add_argument("--dist", required=True)
-    sf_.add_argument("--alpha", type=float, required=True)
-    sf_.add_argument("--beta", type=float, required=True)
+    sf_ = ss.add_parser("forward", parents=scaled + [out])
     sf_.add_argument("--x-grid", dest="x_grid", required=True)
     sf_.add_argument("--what", choices=["cdf", "sf", "pdf"], default="cdf")
     sf_.add_argument("--mode", choices=["weyl", "mixture"], default="weyl")
-    sf_.add_argument("--out")
-    si = ss.add_parser("invert")
-    si.add_argument("--dist", required=True)
-    si.add_argument("--alpha", type=float, required=True)
-    si.add_argument("--beta", type=float, required=True)
+    si = ss.add_parser("invert", parents=scaled + [out])
     si.add_argument("--plan")
     si.add_argument("--x-grid", dest="x_grid")
-    si.add_argument("--out")
     s.set_defaults(func=_cmd_scale)
 
     t = sub.add_parser("tail", help="tail asymptote ratio diagnostics")
     ts = t.add_subparsers(dest="action", required=True)
-    tr = ts.add_parser("ratio")
-    tr.add_argument("--dist", required=True)
-    tr.add_argument("--alpha", type=float, required=True)
-    tr.add_argument("--beta", type=float, required=True)
-    tr.add_argument("--x", required=True)
-    tr.add_argument("--out")
+    ts.add_parser("ratio", parents=scaled + [points, out])
     t.set_defaults(func=_cmd_tail)
 
     e = sub.add_parser("ellip", help="elliptical sampling and conditionals")
     es = e.add_subparsers(dest="action", required=True)
-    esim = es.add_parser("simulate")
-    esim.add_argument("--rho", type=float, required=True)
-    esim.add_argument("--radial", required=True)
-    esim.add_argument("--n", type=int, required=True)
-    esim.add_argument("--seed", type=int, required=True)
-    esim.add_argument("--out")
-    econ = es.add_parser("conditional")
-    econ.add_argument("--rho", type=float, required=True)
-    econ.add_argument("--radial", required=True)
-    econ.add_argument("--x", type=float, required=True)
+    es.add_parser("simulate", parents=[model, draws, out])
+    econ = es.add_parser("conditional", parents=[model, point, out])
     econ.add_argument("--kind", choices=["point", "exceed"], required=True)
     econ.add_argument("--y", type=float)
     econ.add_argument("--t-grid", dest="t_grid")
@@ -400,17 +365,15 @@ def _build_parser():
                       default="quadrature")
     econ.add_argument("--n", type=int, default=100_000)
     econ.add_argument("--seed", type=int, default=0)
-    econ.add_argument("--out")
     e.set_defaults(func=_cmd_ellip)
 
-    est = sub.add_parser("estimate", help="tail-estimator pipeline on (u,v) data")
+    est = sub.add_parser("estimate", parents=[point, out],
+                         help="tail-estimator pipeline on (u,v) data")
     est.add_argument("--input", required=True)
     est.add_argument("--kn", default="auto")
     est.add_argument("--source", choices=["r1", "r2", "v", "R1", "R2", "V"],
                      default="r1")
-    est.add_argument("--x", type=float, required=True)
     est.add_argument("--s", default="")
-    est.add_argument("--out")
     est.set_defaults(func=_cmd_estimate)
 
     chk = sub.add_parser("check", help="re-validate a prior output byte-for-byte")
@@ -427,16 +390,13 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        return args.func(args, argv)
-    except (DomainError, NoDensityError) as exc:
+        return args.func(args, _manifest(args, argv))
+    except (DomainError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
 
 
 if __name__ == "__main__":
