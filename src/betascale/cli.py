@@ -5,7 +5,8 @@ results go to JSON, grids and samples to CSV; every output embeds a run
 manifest (subcommand, parameters, seeds, version, input digests) so that a
 prior output can be re-validated byte-for-byte with ``check``.
 
-Exit codes: 0 success, 1 domain error, 2 numeric failure, 64 usage.
+Exit codes: 0 success, 1 domain error or unreadable file, 2 numeric failure,
+64 usage.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .elliptical import (EllipticalModel, conditional_density_point,
 from .errors import DomainError, NumericError, parse_number
 from .estimation import EstimatorConfig, SampleBatch, pipeline
 from .fractional import power_weight, weyl_integral, weyl_stieltjes
-from .scaling import (IterationPlan, forward_cdf, forward_pdf, forward_sf,
-                      invert_iterative)
+from .scaling import (IterationPlan, default_grid, forward_cdf, forward_pdf,
+                      forward_sf, invert_iterative)
 from .tails import predict_frechet, predict_gumbel, predict_weibull
 
 __all__ = ["main"]
@@ -84,17 +85,19 @@ def _digest(path):
 
 
 def _strip_out(argv):
-    """Drop '--out PATH' so the manifest is independent of the destination."""
+    """Drop every spelling argparse reads as --out PATH ('--out PATH',
+    '--out=PATH' and the abbreviations '--o', '--ou'), so the manifest is
+    independent of the destination."""
     cleaned = []
     skip = False
     for a in argv:
+        flag, eq, _ = a.partition("=")
         if skip:
             skip = False
-            continue
-        if a == "--out":
-            skip = True
-            continue
-        cleaned.append(a)
+        elif len(flag) > 2 and "--out".startswith(flag):
+            skip = not eq
+        else:
+            cleaned.append(a)
     return cleaned
 
 
@@ -150,7 +153,8 @@ def _emit_csv(header, rows, manifest, out):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each gets the run's manifest from main
+# subcommand implementations; each gets the run's manifest from main (check
+# writes none)
 
 def _cmd_dist(args, man):
     d = _load_dist(args.dist)
@@ -193,11 +197,7 @@ def _cmd_scale(args, man):
                 else IterationPlan.default_for(args.beta))
         if abs(plan.beta - args.beta) > 1e-9:
             raise DomainError("plan must start at beta")
-        if args.x_grid:
-            grid = _parse_grid(args.x_grid)
-        else:
-            x_hi = float(d.quantile(1.0 - 1e-4))
-            grid = np.geomspace(max(x_hi * 1e-4, 1e-8), x_hi, 200)
+        grid = _parse_grid(args.x_grid) if args.x_grid else default_grid(d)
         vals = invert_iterative(d, args.alpha, plan, grid).cdf(grid)
     rows = [[float(x), float(v)] for x, v in zip(grid, vals)]
     _emit_csv(["x", "value"], rows, man, args.out)
@@ -266,15 +266,18 @@ def _cmd_estimate(args, man):
     return 0
 
 
-def _cmd_check(args, man):
+def _cmd_check(args, _man):
     with open(args.file, "rb") as fh:
         original = fh.read()
-    text = original.decode()
-    if text.startswith("# manifest: "):
-        man = json.loads(text.splitlines()[0][len("# manifest: "):])
-    else:
-        man = json.loads(text)["manifest"]
-    cleaned = _strip_out(man["argv"])
+    try:
+        text = original.decode()
+        if text.startswith("# manifest: "):
+            argv = json.loads(text.splitlines()[0][len("# manifest: "):])["argv"]
+        else:
+            argv = json.loads(text)["manifest"]["argv"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"{args.file}: holds no betascale manifest") from exc
+    cleaned = _strip_out(argv)
     with tempfile.TemporaryDirectory() as td:
         tmp_out = os.path.join(td, "replay" + os.path.splitext(args.file)[1])
         code = main(cleaned + ["--out", tmp_out])
@@ -391,7 +394,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
         return args.func(args, _manifest(args, argv))
-    except (DomainError, FileNotFoundError) as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericError as exc:

@@ -281,9 +281,16 @@ def quantile_hat(fit: TailFitResult, rho, x, s):
 def pipeline(batch: SampleBatch, cfg: EstimatorConfig | None = None):
     """kendall_rho -> pseudo_radii -> gg_theta -> r_hat, with bound estimators."""
     cfg = cfg or EstimatorConfig()
+    # the config is checked before any stage runs, so a bad one costs nothing
+    source = cfg.radius_source.upper()
+    if source not in ("R1", "R2", "V"):
+        raise DomainError(f"unknown radius source {cfg.radius_source!r}")
+    k = cfg.resolve_k(batch.n)
     warnings = []
     if batch.n < 100:
         warnings.append("small sample: n < 100; tail estimates are unreliable")
+    if cfg.k_n is not None and k < cfg.k_n:
+        warnings.append(f"k_n={cfg.k_n} capped at n // 3 = {k}")
     try:
         tau, rho = kendall_rho(batch)
     except (DomainError, NumericError) as exc:
@@ -292,18 +299,7 @@ def pipeline(batch: SampleBatch, cfg: EstimatorConfig | None = None):
         r1, r2 = pseudo_radii(batch, rho)
     except (DomainError, NumericError) as exc:
         raise StageError(f"radius stage failed: {exc}", stage="radii") from exc
-    source = cfg.radius_source.upper()
-    if source == "R1":
-        radii = r1
-    elif source == "R2":
-        radii = r2
-    elif source == "V":
-        radii = batch.v
-    else:
-        raise DomainError(f"unknown radius source {cfg.radius_source!r}")
-    k = cfg.resolve_k(batch.n)
-    if cfg.k_n is not None and k < cfg.k_n:
-        warnings.append(f"k_n={cfg.k_n} capped at n // 3 = {k}")
+    radii = {"R1": r1, "R2": r2, "V": batch.v}[source]
     try:
         theta = gg_theta(radii, k)
         r = r_hat(radii, theta, k)

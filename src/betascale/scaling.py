@@ -205,12 +205,21 @@ def forward_pdf(H, alpha, beta, x, mode="weyl", cfg=None):
     return _forward(H, alpha, beta, x, "pdf", mode, cfg)
 
 
+def default_grid(H, n_points=200, q_max=1e-4):
+    """The default tabulation grid of H: n_points geometric points on
+    [max(1e-4 x_hi, 1e-8), x_hi], with x_hi the 1 - q_max quantile of H
+    (bounded by r_H when finite)."""
+    x_hi = float(H.quantile(1.0 - q_max))
+    if math.isfinite(H.upper):
+        x_hi = min(x_hi, H.upper)
+    return np.geomspace(max(x_hi * 1e-4, 1e-8), x_hi, n_points)
+
+
 def forward_tabulated(H, alpha, beta, grid=None, n_points=200, q_max=1e-4,
                       mode="mixture", cfg=None):
     """Materialize the scaled law on a grid as a TabulatedCdf.
 
-    The default grid is geometric on (0, x_max] with x_max the 1 - q_max
-    quantile of the scaled law (bounded by r_H when finite).
+    The default grid is ``default_grid(H, n_points, q_max)``.
     """
     p = _params(alpha, beta)
     # absolute tolerance relaxed: near the origin the scaled CDF is O(x),
@@ -218,11 +227,7 @@ def forward_tabulated(H, alpha, beta, grid=None, n_points=200, q_max=1e-4,
     # breakpointed mixture quadrature there
     cfg = cfg or QuadratureConfig(atol=1e-8, rtol=1e-8)
     if grid is None:
-        x_hi = float(H.quantile(1.0 - q_max))
-        if math.isfinite(H.upper):
-            x_hi = min(x_hi, H.upper)
-        x_lo = max(x_hi * 1e-4, 1e-8)
-        grid = np.geomspace(x_lo, x_hi, n_points)
+        grid = default_grid(H, n_points, q_max)
     vals = forward_cdf(H, p.alpha, p.beta, grid, mode=mode, cfg=cfg)
     return TabulatedCdf(grid, vals, rectify=True)
 

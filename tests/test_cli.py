@@ -264,6 +264,43 @@ def test_check_replays_captured_outputs(monkeypatch, capsys, name):
     assert capsys.readouterr().out == f"check: OK {name}\n"
 
 
+def test_out_spellings_give_identical_files(tmp_path, expo1):
+    argv = ["dist", "eval", "--dist", expo1, "--what", "cdf", "--x", "1"]
+    outs = [str(tmp_path / f"a{i}.json") for i in range(3)]
+    assert main(argv + ["--out", outs[0]]) == 0
+    assert main(argv + [f"--out={outs[1]}"]) == 0
+    assert main(argv + ["--ou", outs[2]]) == 0
+    docs = [open(o, "rb").read() for o in outs]
+    assert docs[0] == docs[1] == docs[2]
+    assert read_json_out(outs[1])["manifest"]["argv"] == argv
+    assert main(["check", "--file", outs[1]]) == 0
+
+
+@pytest.mark.parametrize("data", [b"x,cdf\n0,0\n1,1\n",
+                                  b'{"results": {"value": 1.0}}\n',
+                                  b"\xff\xfe\x00manifest"],
+                         ids=["csv", "json", "bytes"])
+def test_check_rejects_a_file_without_manifest(tmp_path, capsys, data):
+    f = tmp_path / "plain.csv"
+    f.write_bytes(data)
+    assert main(["check", "--file", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: holds no betascale manifest\n"
+
+
+@pytest.mark.parametrize("flag", ["--dist", "--input", "--file", "--out"])
+def test_a_directory_for_a_path_exits_1(tmp_path, capsys, expo1, flag):
+    d = str(tmp_path)
+    argv = {"--dist": ["dist", "mda", "--dist", d],
+            "--input": ["estimate", "--input", d, "--x", "1"],
+            "--file": ["check", "--file", d],
+            "--out": ["dist", "mda", "--dist", expo1, "--out", d]}[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+    assert os.listdir(d) == ["expo1.json"]
+
+
 def test_parser_built_once_and_reused(tmp_path, capsys, expo1, pareto2):
     out = str(tmp_path / "eval.json")
     calls = [

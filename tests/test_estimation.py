@@ -302,6 +302,18 @@ def test_pipeline_unknown_source():
                  EstimatorConfig(radius_source="R9"))
 
 
+@pytest.mark.parametrize("cfg", [EstimatorConfig(radius_source="R9"), EstimatorConfig(k_n=0)])
+def test_pipeline_rejects_a_bad_config_before_any_stage(monkeypatch, cfg):
+    def kendall_must_not_run(batch):
+        raise AssertionError("kendall_rho ran before the config was checked")
+
+    monkeypatch.setattr("betascale.estimation.kendall_rho", kendall_must_not_run)
+    batch = SampleBatch.from_pairs(sample_elliptical(EllipticalModel(0.5, Rayleigh(1.0)), 300,
+                                                     seed=3))
+    with pytest.raises(DomainError):
+        pipeline(batch, cfg)
+
+
 def test_resolve_k_names_a_nonpositive_k_n():
     for k_n in (0, -3):
         with pytest.raises(DomainError, match=f"k_n must be a positive integer, got {k_n}"):
