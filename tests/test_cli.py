@@ -427,3 +427,12 @@ def test_exit_code_nonfinite_input(tmp_path, capsys, expo1, gauss_rho05, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("doc,key", [({"family": "kotz", "M": 1, "N": 0, "r": 1}, "theta"),
+                                     ({"family": "pareto", "xmin": 2}, "gamma")])
+def test_missing_law_parameter_exits_1(tmp_path, capsys, doc, key):
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(doc))
+    assert main(["dist", "mda", "--dist", str(law)]) == 1
+    assert capsys.readouterr().err == f"error: {law}: missing parameter '{key}'\n"

@@ -28,6 +28,7 @@ from betascale import (
     reg_inc_beta,
     scaling_function_w,
 )
+from betascale import ScalingFunction
 from betascale.distributions import read_csv_columns
 
 CONTINUOUS = [
@@ -422,3 +423,130 @@ def test_kotz_crossing_matches_brentq(params):
         hi *= 2.0
     assert k.x0 == pytest.approx(brentq(log_tail, lo, hi, xtol=1e-14, rtol=8.9e-16),
                                  rel=1e-14, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# each rule of the law layer, pinned bit for bit
+
+@pytest.mark.parametrize("dist,doc", [
+    (Uniform(-1.0, 2.0), {"family": "uniform", "a": -1.0, "b": 2.0}),
+    (Beta(2.0, 3.0), {"family": "beta", "a": 2.0, "b": 3.0}),
+    (Gamma(2.0, 1.5), {"family": "gamma", "shape": 2.0, "rate": 1.5}),
+    (Exponential(0.5), {"family": "exponential", "rate": 0.5}),
+    (Pareto(2.0, 3.0), {"family": "pareto", "gamma": 2.0, "xmin": 3.0}),
+    (Rayleigh(2.0), {"family": "rayleigh", "sigma": 2.0}),
+    (Kotz(2.0, -1.0, 1.0, 2.0), {"family": "kotz", "M": 2.0, "N": -1.0, "r": 1.0, "theta": 2.0}),
+    (PointMass(1.5), {"family": "pointmass", "c": 1.5}),
+], ids=lambda v: type(v).__name__ if not isinstance(v, dict) else "")
+def test_json_round_trip_of_every_family(dist, doc):
+    out = dist_to_json(dist)
+    assert out == doc and list(out) == list(doc)
+    back = dist_from_json(out)
+    assert type(back) is type(dist)
+    assert dist_to_json(back) == doc and list(dist_to_json(back)) == list(doc)
+
+
+def test_json_defaults_fill_missing_xmin_and_sigma():
+    pareto = dist_from_json({"family": "pareto", "gamma": 2})
+    assert dist_to_json(pareto) == {"family": "pareto", "gamma": 2.0, "xmin": 1.0}
+    ray = dist_from_json({"family": "rayleigh"})
+    assert dist_to_json(ray) == {"family": "rayleigh", "sigma": 1.0}
+
+
+@pytest.mark.parametrize("doc,key", [({"family": "kotz", "M": 1, "N": 0, "r": 1}, "theta"),
+                                     ({"family": "pareto", "xmin": 2}, "gamma"),
+                                     ({"family": "uniform", "a": 0}, "b")])
+def test_json_missing_key_raises_key_error(doc, key):
+    with pytest.raises(KeyError, match=key):
+        dist_from_json(doc)
+
+
+def test_json_rejects_unknown_family_and_tabulated_law():
+    with pytest.raises(DomainError, match="'normal'"):
+        dist_from_json({"family": "normal"})
+    with pytest.raises(DomainError, match="TabulatedCdf"):
+        dist_to_json(TabulatedCdf(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)))
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes())
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3, 2.5e-7])
+def test_constant_scaling_is_power_with_unit_exponent(r):
+    c, p = ScalingFunction.constant(r), ScalingFunction.power(r, 1.0)
+    xs = np.array([0.0, 1e-300, 0.5, 3.0, 1e300, np.inf])
+    for x in [*xs.tolist(), np.float64(2.0), 7]:
+        assert _same_bits(c(x), p(x)) and c(x) == r, x
+    assert _same_bits(c(xs), p(xs)) and (c(xs) == r).all()
+    assert _same_bits(c(xs.reshape(2, 3)), p(xs.reshape(2, 3)))
+    assert float(c(np.array(0.0))) == float(p(np.array(0.0))) == r
+    assert c.form == p.form == "constant"
+
+
+def test_power_transform_of_each_form():
+    x = np.array([0.5, 2.0, 30.0])
+    const = power_transform_w(ScalingFunction.constant(3.0), 0.5)
+    assert (const.form, const.r, const.theta) == ("power", 3.0, 2.0)
+    assert _same_bits(const(x), 3.0 * 2.0 * x ** 1.0)
+    power = power_transform_w(ScalingFunction.power(0.5, 3.0), 3.0)
+    assert power.form == "constant"
+    assert _same_bits(power(x), np.full(3, 0.5))
+    power = power_transform_w(ScalingFunction.power(0.5, 3.0), 2.0)
+    assert (power.form, power.r, power.theta) == ("power", 0.5, 1.5)
+    custom = ScalingFunction.custom(lambda v: np.asarray(v, dtype=float) * 2.0)
+    assert power_transform_w(custom, 1.0) is custom
+    root = power_transform_w(custom, 2.0)
+    assert root.form == "custom"
+    assert _same_bits(root(x), x ** 0.5 / (2.0 * x) * (x ** 0.5 * 2.0))
+    assert root(4.0) == 1.0  # 2 / (2 * 4) * w(2)
+    with pytest.raises(DomainError):
+        power_transform_w(custom, 0.0)
+
+
+def test_tabulated_scaling_is_the_hazard_of_the_interpolant():
+    grid = np.linspace(0.05, 25.0, 400)
+    tab = TabulatedCdf(grid, 1.0 - np.exp(-grid))
+    w = tab.scaling_w()
+    xs = np.array([0.3, 4.0, 12.5, 20.0])
+    assert _same_bits(w(xs), tab.pdf(xs) / tab.sf(xs))
+    for x in xs.tolist():
+        assert _same_bits(w(x), tab.pdf(x) / tab.sf(x))
+
+
+_EDGE_PROBABILITIES = [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0]
+
+
+@pytest.mark.parametrize("r,theta", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
+def test_exact_weibull_kotz_inverts_in_closed_form(r, theta):
+    k = Kotz(1.0, 0.0, r, theta)
+    p = np.array(_EDGE_PROBABILITIES)
+    with np.errstate(divide="ignore"):
+        want_q = (-np.log1p(-p) / r) ** (1.0 / theta)
+        want_s = (-np.log(p) / r) ** (1.0 / theta)
+        assert _same_bits(k.quantile(p), want_q)
+        assert _same_bits(k.isf(p), want_s)
+        assert _same_bits(k.quantile(p.reshape(5, 1)), want_q.reshape(5, 1))
+        for v in map(np.float64, _EDGE_PROBABILITIES):
+            # a scalar takes numpy's scalar arithmetic: isf(1) is +0.0 where
+            # the array's entry is -0.0
+            assert _same_bits(k.quantile(float(v)), float((-np.log1p(-v) / r) ** (1.0 / theta))), v
+            assert _same_bits(k.isf(float(v)), float((-np.log(v) / r) ** (1.0 / theta))), v
+        # probabilities past either end are clamped to it
+        assert k.quantile(-0.5) == 0.0 and k.quantile(1.5) == math.inf
+        assert k.isf(1.5) == 0.0 and k.isf(-0.5) == math.inf
+        assert _same_bits(k.quantile(np.array([-1.0, 2.0])), want_q[[0, 4]])
+    with pytest.raises(DomainError):
+        k.quantile(math.nan)
+    with pytest.raises(DomainError):
+        k.isf(np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("c", [0.0, -2.5, 1e300])
+def test_point_mass_sample_is_constant(c):
+    for n in (1, 7):
+        out = PointMass(c).sample(n, seed=3)
+        assert _same_bits(out, np.full(n, c))
+    with pytest.raises(DomainError, match="sample size"):
+        PointMass(c).sample(0, seed=3)
