@@ -91,50 +91,36 @@ def make_rng(seed, stream=0):
 
 @dataclass
 class ScalingFunction:
-    """The w in sf(x + t/w(x)) / sf(x) -> exp(-t).
+    """The w in sf(x + t/w(x)) / sf(x) -> exp(-t): the power form
+    r*theta*x**(theta-1), which is r at theta = 1, or a callable ``fn``."""
 
-    Forms: ``constant`` (w == value), ``power`` (w(x) = r*theta*x**(theta-1))
-    and ``von_mises`` (numeric hazard pdf/sf).
-    """
-
-    form: str
-    value: float | None = None          # constant form
-    r: float | None = None              # power form
+    r: float | None = None
     theta: float | None = None
-    pdf: object = None                  # von_mises form: callables
-    sf: object = None
-    fn: object = None                   # custom form: direct callable
+    fn: object = None
 
     @classmethod
     def constant(cls, value):
-        return cls(form="constant", value=float(value))
+        return cls.power(value, 1.0)
 
     @classmethod
     def power(cls, r, theta):
-        if theta == 1.0:
-            return cls.constant(r)
-        return cls(form="power", r=float(r), theta=float(theta))
-
-    @classmethod
-    def von_mises(cls, pdf, sf):
-        return cls(form="von_mises", pdf=pdf, sf=sf)
+        return cls(r=float(r), theta=float(theta))
 
     @classmethod
     def custom(cls, fn):
-        return cls(form="custom", fn=fn)
+        return cls(fn=fn)
+
+    @property
+    def form(self):
+        if self.fn is not None:
+            return "custom"
+        return "constant" if self.theta == 1.0 else "power"
 
     def __call__(self, x):
-        if self.form == "constant":
-            return self.value if np.isscalar(x) else np.full(np.shape(x), self.value)
-        if self.form == "power":
-            xa = np.asarray(x, dtype=float)
-            out = self.r * self.theta * xa ** (self.theta - 1.0)
-            return float(out) if out.ndim == 0 else out
-        if self.form == "custom":
+        if self.fn is not None:
             return self.fn(x)
-        num = self.pdf(x)
-        den = self.sf(x)
-        return num / den
+        out = self.r * self.theta * np.asarray(x, dtype=float) ** (self.theta - 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def self_neglect_deviation(self, x, t_span=3.0, n=13):
         """max over t in [-t_span, t_span] of |w(x + t/w(x))/w(x) - 1|."""
@@ -517,7 +503,11 @@ class Kotz(Distribution):
     def _tail_root(self, target):
         """The x past x0 with log sf(x) = target, for an array of targets (x0
         where target >= 0, inf where it is -inf): bracket doubling, then
-        bisection of all points at once to width 1e-13 + 8.9e-16 * |x|."""
+        bisection of all points at once to width 1e-13 + 8.9e-16 * |x|; for
+        the exact Weibull law (M = 1, N = 0), (-target/r)**(1/theta)."""
+        if self.m == 1.0 and self.n_exp == 0.0:
+            out = (-target / self.r) ** (1.0 / self.theta)
+            return float(out) if out.ndim == 0 else out
         t = target.ravel()
         lo = np.where(t >= 0.0, self.x0, np.where(t == -np.inf, np.inf, np.nan))
         hi = lo.copy()
@@ -536,16 +526,10 @@ class Kotz(Distribution):
         return float(out[0]) if target.ndim == 0 else out.reshape(target.shape)
 
     def quantile(self, q):
-        if self.m == 1.0 and self.n_exp == 0.0:
-            return _as_float(_probabilities(q, clamp=True),
-                             lambda u: (-np.log1p(-u) / self.r) ** (1.0 / self.theta))
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._tail_root(np.log1p(-_probabilities(q, clamp=True)))
 
     def isf(self, s):
-        if self.m == 1.0 and self.n_exp == 0.0:
-            return _as_float(_probabilities(s, clamp=True),
-                             lambda v: (-np.log(v) / self.r) ** (1.0 / self.theta))
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._tail_root(np.log(_probabilities(s, clamp=True)))
 
@@ -565,11 +549,6 @@ class PointMass(Distribution):
 
     def quantile(self, q):
         return _as_float(_probabilities(q), lambda u: np.full(np.shape(u), self.c))
-
-    def sample(self, n, seed, stream=0):
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
-        return np.full(n, self.c)
 
     def mda(self):
         # degenerate endpoint: treated as the gamma = 0 limit of the Weibull class
@@ -731,7 +710,7 @@ class TabulatedCdf(Distribution):
         m = self.mda()
         if not m.is_gumbel:
             raise DomainError("tabulated law not classified as Gumbel")
-        return ScalingFunction.von_mises(self.pdf, self.sf)
+        return ScalingFunction.custom(lambda x: self.pdf(x) / self.sf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -880,20 +859,23 @@ def load_tabulated_csv(path, tail_hint=None):
     return TabulatedCdf(*read_csv_columns(path, ("x", "cdf")), tail_hint=tail_hint)
 
 
-_FACTORIES = {
-    "uniform": lambda o: Uniform(o["a"], o["b"]),
-    "beta": lambda o: Beta(o["a"], o["b"]),
-    "gamma": lambda o: Gamma(o["shape"], o["rate"]),
-    "exponential": lambda o: Exponential(o["rate"]),
-    "pareto": lambda o: Pareto(o["gamma"], o.get("xmin", 1.0)),
-    "rayleigh": lambda o: Rayleigh(o.get("sigma", 1.0)),
-    "kotz": lambda o: Kotz(o["M"], o["N"], o["r"], o["theta"]),
-    "pointmass": lambda o: PointMass(o["c"]),
+# each JSON family's class and (key, attribute) pairs in constructor order;
+# the keys in _DEFAULTS may be left out
+_FAMILIES = {
+    "uniform": (Uniform, (("a", "a"), ("b", "b"))),
+    "beta": (Beta, (("a", "a"), ("b", "b"))),
+    "gamma": (Gamma, (("shape", "shape"), ("rate", "rate"))),
+    "exponential": (Exponential, (("rate", "rate"),)),
+    "pareto": (Pareto, (("gamma", "gamma_"), ("xmin", "xmin"))),
+    "rayleigh": (Rayleigh, (("sigma", "sigma"),)),
+    "kotz": (Kotz, (("M", "m"), ("N", "n_exp"), ("r", "r"), ("theta", "theta"))),
+    "pointmass": (PointMass, (("c", "c"),)),
 }
+_DEFAULTS = {"xmin": 1.0, "sigma": 1.0}
 
 
 def dist_from_json(obj, base_dir="."):
-    """Build a distribution from its JSON object form."""
+    """Build a distribution from its JSON object form (KeyError if a key is missing)."""
     family = obj.get("family")
     if family == "tabulated":
         import os
@@ -902,26 +884,15 @@ def dist_from_json(obj, base_dir="."):
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return load_tabulated_csv(path, tail_hint=obj.get("tail_hint"))
-    if family not in _FACTORIES:
+    if family not in _FAMILIES:
         raise DomainError(f"unknown distribution family: {family!r}")
-    return _FACTORIES[family](obj)
+    cls, fields = _FAMILIES[family]
+    obj = {**_DEFAULTS, **obj}
+    return cls(*(obj[key] for key, _ in fields))
 
 
 def dist_to_json(dist):
-    if isinstance(dist, Uniform):
-        return {"family": "uniform", "a": dist.a, "b": dist.b}
-    if isinstance(dist, Beta):
-        return {"family": "beta", "a": dist.a, "b": dist.b}
-    if isinstance(dist, Gamma):
-        return {"family": "gamma", "shape": dist.shape, "rate": dist.rate}
-    if isinstance(dist, Exponential):
-        return {"family": "exponential", "rate": dist.rate}
-    if isinstance(dist, Pareto):
-        return {"family": "pareto", "gamma": dist.gamma_, "xmin": dist.xmin}
-    if isinstance(dist, Rayleigh):
-        return {"family": "rayleigh", "sigma": dist.sigma}
-    if isinstance(dist, Kotz):
-        return {"family": "kotz", "M": dist.m, "N": dist.n_exp, "r": dist.r, "theta": dist.theta}
-    if isinstance(dist, PointMass):
-        return {"family": "pointmass", "c": dist.c}
+    for family, (cls, fields) in _FAMILIES.items():
+        if isinstance(dist, cls):
+            return {"family": family, **{key: getattr(dist, attr) for key, attr in fields}}
     raise DomainError(f"cannot serialize {type(dist).__name__}")

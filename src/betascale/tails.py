@@ -238,9 +238,7 @@ def power_transform_w(w: ScalingFunction, p) -> ScalingFunction:
         raise DomainError("power must be positive")
     if p == 1.0:
         return w
-    if w.form == "constant":
-        return ScalingFunction.power(w.value, 1.0 / p)
-    if w.form == "power":
+    if w.fn is None:
         return ScalingFunction.power(w.r, w.theta / p)
 
     def fn(x):
