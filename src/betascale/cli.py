@@ -72,6 +72,8 @@ def _load_dist(path):
         return dist_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DomainError(f"{path}: missing parameter {exc}") from exc
 
@@ -275,6 +277,8 @@ def _cmd_check(args, _man):
             argv = json.loads(text.splitlines()[0][len("# manifest: "):])["argv"]
         else:
             argv = json.loads(text)["manifest"]["argv"]
+        if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+            raise TypeError("argv is not a list of strings")
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"{args.file}: holds no betascale manifest") from exc
     cleaned = _strip_out(argv)

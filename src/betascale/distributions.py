@@ -826,7 +826,8 @@ def read_csv_columns(path, names):
     """The two finite float64 columns of a CSV whose header, after any rows
     starting with '#', is ``names``.  Later rows starting with '#', blank
     rows and columns past the second are skipped.  A malformed row raises
-    DomainError naming its line.
+    DomainError naming its line, and bytes that do not decode one naming
+    the file.
 
     The body is read in one numpy pass with comments off, which accepts a
     subset of what the rules above allow and parses each number as
@@ -836,20 +837,23 @@ def read_csv_columns(path, names):
     ``float()`` reads (comment rows after the header, ``1_000``) and numpy
     reads it again through ``float()``.
     """
-    with open(path, newline="") as fh:
-        rows = _csv_body(fh, path, names)
-        body = fh.tell()
-        table = _load_body(fh, comments=None)
-        if table is None or not np.isfinite(table).all():
-            fh.seek(body)
-            for row in rows:
-                if row and not row[0].startswith("#") and not _finite_pair(row):
-                    raise DomainError(f"{path}: line {rows.line_num}: expected two finite "
-                                      f"numbers, got {','.join(row)!r}")
-            fh.seek(body)
-            table = _load_body(fh, comments="#", converters=float)
-            if table is None:
-                raise DomainError(f"{path}: a comment row holds a quoted field")
+    try:
+        with open(path, newline="") as fh:
+            rows = _csv_body(fh, path, names)
+            body = fh.tell()
+            table = _load_body(fh, comments=None)
+            if table is None or not np.isfinite(table).all():
+                fh.seek(body)
+                for row in rows:
+                    if row and not row[0].startswith("#") and not _finite_pair(row):
+                        raise DomainError(f"{path}: line {rows.line_num}: expected two finite "
+                                          f"numbers, got {','.join(row)!r}")
+                fh.seek(body)
+                table = _load_body(fh, comments="#", converters=float)
+                if table is None:
+                    raise DomainError(f"{path}: a comment row holds a quoted field")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     first, second = table.T.copy()
     return first, second
 

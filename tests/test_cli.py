@@ -436,3 +436,28 @@ def test_missing_law_parameter_exits_1(tmp_path, capsys, doc, key):
     law.write_text(json.dumps(doc))
     assert main(["dist", "mda", "--dist", str(law)]) == 1
     assert capsys.readouterr().err == f"error: {law}: missing parameter '{key}'\n"
+
+
+@pytest.mark.parametrize("name,data,argv", [
+    ("bad.json", b"\xff\xfe{}", ["dist", "mda", "--dist"]),
+    ("bad.csv", b"x,cdf\n\xff,1\n", ["dist", "mda", "--dist"]),
+    ("bad.csv", b"u,v\n\xff,1\n", ["estimate", "--x", "1", "--input"]),
+], ids=["law-json", "law-csv", "estimate-input"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, name, data, argv):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    assert main(argv + [str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "decode" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", ['{"manifest": {"argv": 5}}', '{"manifest": {"argv": [1, 2]}}',
+                                 '{"manifest": {"argv": null}}', '{"manifest": 5}',
+                                 '# manifest: {"argv": "dist"}\nx\n',
+                                 '# manifest: {"argv": ["dist", ["mda"]]}\nx\n'],
+                         ids=["int", "ints", "null", "manifest-int", "csv-str", "csv-nested"])
+def test_check_rejects_a_malformed_manifest(tmp_path, capsys, doc):
+    f = tmp_path / ("out.csv" if doc.startswith("#") else "out.json")
+    f.write_text(doc)
+    assert main(["check", "--file", str(f)]) == 1
+    assert capsys.readouterr().err == f"error: {f}: holds no betascale manifest\n"
