@@ -451,8 +451,11 @@ class Kotz(Distribution):
         return math.log(self.m) + self.n_exp * np.log(x) - self.r * x ** self.theta
 
     def _crossing(self):
-        if self.m == 1.0 and self.n_exp == 0.0:
-            return 0.0
+        if self.n_exp == 0.0:
+            if self.m < 1:
+                raise DomainError("kotz with M < 1 and N = 0 has an atom at 0")
+            # numpy's scalar power, as in quantile(0) of a float
+            return float(np.float64(math.log(self.m) / self.r) ** (1.0 / self.theta))
         # stationary point of the tail function
         if self.n_exp > 0:
             xs = (self.n_exp / (self.r * self.theta)) ** (1.0 / self.theta)
@@ -460,9 +463,7 @@ class Kotz(Distribution):
                 raise DomainError("kotz parameters never reach survivor level 1")
             lo = xs
         else:
-            # decreasing for all x > 0; log tail -> +inf as x -> 0 when N<0 or M>1
-            if self.n_exp == 0 and self.m < 1:
-                raise DomainError("kotz with M < 1 and N = 0 has an atom at 0")
+            # decreasing for all x > 0; log tail -> +inf as x -> 0
             lo = 1e-12
             if self._log_tail(lo) < 0:
                 raise DomainError("kotz parameters never reach survivor level 1")
@@ -501,12 +502,15 @@ class Kotz(Distribution):
         return _as_float(x, f)
 
     def _tail_root(self, target):
-        """The x past x0 with log sf(x) = target, for an array of targets (x0
-        where target >= 0, inf where it is -inf): bracket doubling, then
-        bisection of all points at once to width 1e-13 + 8.9e-16 * |x|; for
-        the exact Weibull law (M = 1, N = 0), (-target/r)**(1/theta)."""
-        if self.m == 1.0 and self.n_exp == 0.0:
-            out = (-target / self.r) ** (1.0 / self.theta)
+        """The x past x0 with log sf(x) = target, for an array of targets in
+        [-inf, 0] (x0 at 0, inf at -inf).  For N = 0 it is the closed form
+        (-(target - log M)/r)**(1/theta), never below x0, which for M = 1 is
+        the exact Weibull law's (-target/r)**(1/theta) bit for bit;
+        otherwise bracket doubling, then bisection of all points at once to
+        width 1e-13 + 8.9e-16 * |x|."""
+        if self.n_exp == 0.0:
+            out = (-(target - math.log(self.m)) / self.r) ** (1.0 / self.theta)
+            out = np.where(out < self.x0, self.x0, out)  # an array power may round below x0
             return float(out) if out.ndim == 0 else out
         t = target.ravel()
         lo = np.where(t >= 0.0, self.x0, np.where(t == -np.inf, np.inf, np.nan))
@@ -615,9 +619,10 @@ class TabulatedCdf(Distribution):
     PchipInterpolator bit for bit: v in [x_i, x_{i+1}) takes piece i, the
     last piece also holds grid[-1], and each piece sums its power form as
     scipy's PPoly does, ((a0 + a1 s) + a2 s**2) + a3 (s**2 s).  The monotone
-    interpolant supplies the density analytically; quantiles are found by
-    bisection.  Below the grid the CDF is 0, above it is 1.  Every
-    evaluation reads one piece table through `_lookup`.
+    interpolant supplies the density analytically; a quantile is the root
+    of one piece's cubic, found by safeguarded Newton.  Below the grid the
+    CDF is 0, above it is 1.  Every evaluation reads one piece table
+    through `_lookup`.
     """
 
     def __init__(self, grid, values, tail_hint=None, rectify=False):
@@ -683,22 +688,55 @@ class TabulatedCdf(Distribution):
         return 1.0 - cdf, np.maximum(pdf, 0.0)
 
     def quantile(self, q):
-        """Bisection on the interpolant, all points at once, each until
-        hi - lo <= 1e-10 * max(1, |hi|)."""
+        """The x with cdf(x) = u for each probability u: grid[0] where
+        u <= values[0], grid[-1] where u >= values[-1], and otherwise the root
+        on piece k - 1 with values[k-1] < u <= values[k], so that a u on a
+        flat run lands on the run's left knot (`_piece_roots`)."""
         q = _probabilities(q, clamp=True)
-        # in increasing u the midpoints of every round increase too, which
-        # makes their piece lookups cheap; each point bisects on its own
-        order = np.argsort(q, axis=None)
-        u = q.ravel()[order]
-        end = np.where(u <= self.values[0], self.grid[0],
-                       np.where(u >= self.values[-1], self.grid[-1], np.nan))
-        inside = (u > self.values[0]) & (u < self.values[-1])
-        out = np.empty(u.size)
-        out[order] = _bisect(lambda x, i: self._lookup(x, _CDF)[0] < u[i],
-                             np.where(inside, self.grid[0], end),
-                             np.where(inside, self.grid[-1], end),
-                             lambda h: 1e-10 * np.maximum(1.0, np.abs(h)))
+        u, v, g = q.ravel(), self.values, self.grid
+        out = np.where(u <= v[0], g[0], g[-1])
+        inside = np.flatnonzero((u > v[0]) & (u < v[-1]))
+        if inside.size:
+            u = u[inside]
+            k = np.searchsorted(v, u, "left")
+            out[inside] = g[k - 1] + self._piece_roots(k, u)[0]
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+
+    def _piece_roots(self, k, u):
+        """The s in [0, h] where piece k - 1's cubic, summed as `_lookup`
+        sums it, equals u, and the number of rounds taken.
+
+        Safeguarded Newton on all points at once, from linear interpolation
+        between the piece's knots.  Each round evaluates the cubic and its
+        derivative at s and moves the bracket [lo, hi] (initially [0, h]) to
+        s by the sign of cdf - u.  A step within 4 ulp of the current
+        x = knot + s ends the point at s - step clipped into the bracket,
+        which may be one of its ends; any other step is taken only if it
+        lands strictly inside the bracket, else the bracket is halved.  A
+        point also ends when its bracket holds no float between its ends."""
+        p = self._table.take(k, axis=0)  # row k of the table is piece k - 1
+        v = self.values
+        s = (self.grid[k] - p[:, 0]) * ((u - v[k - 1]) / (v[k] - v[k - 1]))
+        lo, hi = np.zeros_like(s), self.grid[k] - p[:, 0]
+        out = np.empty_like(s)
+        live = np.arange(s.size)
+        rounds = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while live.size:
+                rounds += 1
+                f = _power_sum(s, *(p[:, c] for c in _CDF)) - u
+                lo = np.where(f < 0.0, s, lo)
+                hi = np.where(f < 0.0, hi, s)
+                step = np.where(f == 0.0, 0.0, f / _power_sum(s, *(p[:, c] for c in _PDF)))
+                new, mid = s - step, 0.5 * (lo + hi)
+                near = np.abs(step) <= 4.0 * np.spacing(p[:, 0] + s)
+                newton = (lo < new) & (new < hi)
+                done = near | ~(newton | ((lo < mid) & (mid < hi)))
+                s = np.where(near, np.clip(new, lo, hi), np.where(newton, new, mid))
+                if done.any():
+                    out[live[done]] = s[done]
+                    live, s, u, lo, hi, p = (a[~done] for a in (live, s, u, lo, hi, p))
+        return out, rounds
 
     def isf(self, s):
         return self.quantile(1.0 - _probabilities(s, clamp=True))
@@ -878,21 +916,38 @@ _FAMILIES = {
 _DEFAULTS = {"xmin": 1.0, "sigma": 1.0}
 
 
+def _finite_number(key, value):
+    """A law file's ``value`` of ``key`` as a float: it must be a real
+    number, not a bool, and finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise DomainError(f"law parameter {key!r} must be a finite number, got {value!r}")
+
+
 def dist_from_json(obj, base_dir="."):
-    """Build a distribution from its JSON object form (KeyError if a key is missing)."""
+    """Build a distribution from its JSON object form (KeyError if a key is
+    missing, DomainError naming the key if its value is not a finite number,
+    or for a tabulated law, a path that is not a string)."""
     family = obj.get("family")
     if family == "tabulated":
         import os
 
         path = obj["path"]
+        if not isinstance(path, str):
+            raise DomainError(f"law parameter 'path' must be a string, got {path!r}")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return load_tabulated_csv(path, tail_hint=obj.get("tail_hint"))
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DomainError(f"unknown distribution family: {family!r}")
     cls, fields = _FAMILIES[family]
     obj = {**_DEFAULTS, **obj}
-    return cls(*(obj[key] for key, _ in fields))
+    return cls(*(_finite_number(key, obj[key]) for key, _ in fields))
 
 
 def dist_to_json(dist):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special as sc
 
 from .distributions import ScalingFunction, beta_moment
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .fractional import QuadratureConfig
 from .scaling import forward_pdf, forward_sf
 
@@ -93,6 +93,9 @@ def _prediction(H, alpha, beta, x, cfg, label):
         K = _lngamma_ratio([alpha + beta, m.gamma + 1.0], [alpha, m.gamma + beta + 1.0])
         shape, pred = "x**beta * sf(r_H*(1-x))", K * x ** beta * sf
     direct = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg or _TAIL_CFG)
+    if pred == 0.0 and direct == 0.0:
+        raise NumericError(f"predict_{label}: the asymptote and the direct survivor both "
+                           f"underflow at x = {x!r}, so their ratio is undefined", x=x)
     return TailPrediction(K, shape, pred, direct)
 
 
@@ -127,6 +130,8 @@ def density_ratio(H, alpha, beta, x, mode, cfg=None):
     point = _point(m, x)
     pdf = forward_pdf(H, alpha, beta, point, mode="mixture", cfg=cfg)
     sf = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg)
+    if sf == 0.0:
+        raise NumericError(f"density_ratio: the survivor underflows at x = {x!r}", x=x)
     if mode == "gumbel":
         return pdf / (float(m.w(x)) * sf), 1.0
     if mode == "frechet":

@@ -438,6 +438,33 @@ def test_missing_law_parameter_exits_1(tmp_path, capsys, doc, key):
     assert capsys.readouterr().err == f"error: {law}: missing parameter '{key}'\n"
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"family": "exponential", "rate": "abc"}', "rate"),
+    ('{"family": "exponential", "rate": true}', "rate"),
+    ('{"family": "exponential", "rate": 1e999}', "rate"),
+    ('{"family": "pareto", "gamma": 1e999}', "gamma"),
+    ('{"family": "tabulated", "path": 5}', "path"),
+], ids=["rate-string", "rate-bool", "rate-1e999", "gamma-1e999", "path-int"])
+def test_law_parameter_that_is_not_a_finite_number_exits_1(tmp_path, capsys, text, key):
+    law = tmp_path / "law.json"
+    law.write_text(text)
+    assert main(["dist", "mda", "--dist", str(law)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: law parameter '{key}' must be a") and err.count("\n") == 1
+
+
+def test_tail_ratio_where_both_survivors_underflow_exits_2(tmp_path, capsys):
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({"family": "rayleigh", "sigma": 1.0}))
+    out = tmp_path / "tail.json"
+    argv = ["tail", "ratio", "--dist", str(ray), "--alpha", "2", "--beta", "0.7"]
+    assert main(argv + ["--x", "20,40", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "x = 40.0" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert main(argv + ["--x", "20", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("name,data,argv", [
     ("bad.json", b"\xff\xfe{}", ["dist", "mda", "--dist"]),
     ("bad.csv", b"x,cdf\n\xff,1\n", ["dist", "mda", "--dist"]),

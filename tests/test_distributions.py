@@ -464,8 +464,29 @@ def test_json_missing_key_raises_key_error(doc, key):
 def test_json_rejects_unknown_family_and_tabulated_law():
     with pytest.raises(DomainError, match="'normal'"):
         dist_from_json({"family": "normal"})
+    with pytest.raises(DomainError, match="unknown distribution family"):
+        dist_from_json({"family": ["exponential"]})
     with pytest.raises(DomainError, match="TabulatedCdf"):
         dist_to_json(TabulatedCdf(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)))
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"family": "exponential", "rate": "abc"}, "rate"),
+    ({"family": "exponential", "rate": True}, "rate"),
+    ({"family": "exponential", "rate": math.inf}, "rate"),
+    ({"family": "exponential", "rate": None}, "rate"),
+    ({"family": "exponential", "rate": [1.0]}, "rate"),
+    ({"family": "pareto", "gamma": 2.0, "xmin": -math.inf}, "xmin"),
+    ({"family": "kotz", "M": 1, "N": math.nan, "r": 1, "theta": 2}, "N"),
+    ({"family": "rayleigh", "sigma": 10 ** 400}, "sigma"),
+    ({"family": "pointmass", "c": "0"}, "c"),
+    ({"family": "tabulated", "path": 5}, "path"),
+    ({"family": "tabulated", "path": ["h.csv"]}, "path"),
+], ids=["rate-string", "rate-bool", "rate-inf", "rate-null", "rate-list", "xmin-minus-inf",
+        "N-nan", "sigma-huge-int", "c-string", "path-int", "path-list"])
+def test_json_rejects_a_parameter_that_is_not_a_finite_number(doc, key):
+    with pytest.raises(DomainError, match=f"law parameter '{key}' must be a"):
+        dist_from_json(doc)
 
 
 def _same_bits(a, b):

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from betascale import (
@@ -91,20 +93,20 @@ def test_kendall_large_sample_against_brute_force_blocks():
 # ---------------------------------------------------------------------------
 # tabulated quantiles
 
-def scalar_bisection(tab, u):
-    """The per-point bisection the array form runs on all points at once."""
-    if u <= tab.values[0]:
-        return tab.grid[0]
-    if u >= tab.values[-1]:
-        return tab.grid[-1]
-    lo, hi = tab.grid[0], tab.grid[-1]
-    while hi - lo > 1e-10 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if tab.cdf(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def solves_interpolant(tab, u, q):
+    """q is tab's quantile of u: the end rules outside (values[0],
+    values[-1]); otherwise q lies on the piece [grid[k-1], grid[k]] with
+    values[k-1] < u <= values[k], and scipy's PCHIP reaches u at q to 2 ulp
+    of 1 plus the density's share of 4 ulp of q."""
+    g, v = tab.grid, tab.values
+    u = min(max(u, 0.0), 1.0)
+    if u <= v[0]:
+        return q == g[0]
+    if u >= v[-1]:
+        return q == g[-1]
+    k = np.searchsorted(v, u, "left")
+    cdf = PchipInterpolator(g, v)(q)
+    return g[k - 1] <= q <= g[k] and abs(cdf - u) <= 4.4e-16 + 4.0 * tab.pdf(q) * np.spacing(q)
 
 
 @pytest.fixture(scope="module")
@@ -118,17 +120,16 @@ def test_tabulated_quantile_bitwise_equal_to_scalar(tab):
                         [0.0, 1.0, -0.5, 2.0, tab.values[0], tab.values[-1], 1e-300,
                          np.nextafter(tab.values[-1], 0.0), 0.5]])
     out = tab.quantile(u)
-    ref = np.array([scalar_bisection(tab, x) for x in u])
     singles = np.array([tab.quantile(float(x)) for x in u])
-    assert np.array_equal(out, ref)
-    assert np.array_equal(singles, ref)
+    assert all(solves_interpolant(tab, x, q) for x, q in zip(u, out))
+    assert np.array_equal(singles, out)
     assert out[-9] == tab.grid[0] and out[-8] == tab.grid[-1]
 
 
 def test_tabulated_quantile_shapes(tab):
     q = tab.quantile(np.float64(0.3))
     assert type(q) is float
-    assert q == scalar_bisection(tab, 0.3)
+    assert solves_interpolant(tab, 0.3, q)
     u = make_rng(4).random((7, 5))
     out = tab.quantile(u)
     assert out.shape == (7, 5)
@@ -158,6 +159,27 @@ def test_kotz_quantile_closed_form_n0(m, r, theta):
     np.testing.assert_allclose(k.quantile(u), exact, rtol=1e-12, atol=0)
     s = np.geomspace(1e-300, 0.999, 500)
     np.testing.assert_allclose(k.isf(s), (np.log(m / s) / r) ** (1.0 / theta), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m, r, theta", [(2.0, 1.0, 2.0), (3.0, 0.5, 0.7), (1.5, 2.0, 1.0),
+                                         (1.0, 1.5, 0.5), (1.2, 1.0, 0.5), (10.0, 0.3, 3.0),
+                                         (2.0, 1.0, 1.5)])
+def test_kotz_n0_quantiles_against_mpmath(m, r, theta):
+    """With N = 0 the quantile is (log(M/(1 - u))/r)**(1/theta) to a few ulp:
+    log1p, log M, their sum and the division round once each, and the power
+    scales a relative error by 1/theta.  x0 is quantile(0) bit for bit, and
+    no draw lies below it: numpy's array power can round 1 ulp below its
+    scalar power, as its AVX-512 loop does for (log 2)**(1/1.5)."""
+    k = Kotz(m, 0.0, r, theta)
+    u = np.concatenate([make_rng(8).random(300), [1e-300, 1e-16, 0.5, 1.0 - 2.0 ** -53]])
+    with mpmath.workdps(40):
+        root = lambda level: float((mpmath.log(level) / r) ** (1 / mpmath.mpf(theta)))
+        exact = np.array([root(m / (1 - mpmath.mpf(x))) for x in u])
+        x0 = root(mpmath.mpf(m))
+    np.testing.assert_allclose(k.quantile(u), exact, rtol=(1.0 + 2.0 / theta) * 2.0 ** -52, atol=0)
+    assert k.x0 == pytest.approx(x0, rel=2.0 ** -52, abs=0.0)
+    assert k.quantile(0.0) == k.x0 and k.isf(1.0) == k.x0
+    assert k.quantile(np.array([0.0, 1e-300])).tolist() == [k.x0, k.x0]
 
 
 @pytest.mark.parametrize("params", [(5.0, 2.0, 1.0, 2.0), (3.0, -1.0, 0.5, 0.7),

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sc
 from scipy.integrate import quad
 
 from betascale import (
     DomainError,
     Exponential,
+    NumericError,
+    QuadratureConfig,
     Pareto,
     PointMass,
     Rayleigh,
@@ -16,6 +19,7 @@ from betascale import (
     biased_tail_asymptote,
     density_ratio,
     forward_tabulated,
+    forward_sf,
     fractional_asymptote,
     general_multiplier_tail,
     max_stability_check,
@@ -65,6 +69,30 @@ def test_gumbel_scaled_tail_negligible():
     pred = predict_gumbel(Exponential(1.0), 1.0, 1.0, 20.0)
     assert 20.0 * pred.direct < 0.1
     assert pred.direct / Exponential(1.0).sf(20.0) < 0.1
+
+
+@pytest.mark.parametrize("H, x", [(Rayleigh(1.0), 40.0), (Exponential(1.0), 800.0)])
+def test_gumbel_ratio_of_two_underflowed_survivors_raises(H, x):
+    # sf_H(x) and sf_X(x) are both 0.0 in floats: the ratio would be NaN
+    with pytest.raises(NumericError, match="underflow") as info:
+        predict_gumbel(H, 2.0, 0.7, x)
+    assert info.value.x == x
+    assert math.isfinite(predict_gumbel(H, 2.0, 0.7, x / 4.0).ratio)
+    with pytest.raises(NumericError, match="underflow"):
+        density_ratio(H, 2.0, 0.7, x, "gumbel")
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.7), (1.0, 2.5), (0.5, 0.3)])
+@pytest.mark.parametrize("x", [0.5, 5.0, 40.0, 200.0])
+@pytest.mark.parametrize("mode", ["mixture", "weyl"])
+def test_exponential_survivor_equals_tricomi_form(alpha, beta, x, mode):
+    """For Y ~ Exp(1), P(B Y > x) = G(a+b)/G(a) e^-x U(b, 1-a, x), with U
+    Tricomi's confluent hypergeometric function."""
+    scale = math.exp(sc.gammaln(alpha + beta) - sc.gammaln(alpha) - x)
+    exact = scale * sc.hyperu(beta, 1.0 - alpha, x)
+    got = forward_sf(Exponential(1.0), alpha, beta, x, mode=mode,
+                     cfg=QuadratureConfig(atol=1e-300, rtol=1e-9))
+    assert got == pytest.approx(exact, rel=2e-9, abs=0.0)
 
 
 def test_gumbel_rejects_frechet_input():
