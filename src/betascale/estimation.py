@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -127,36 +128,85 @@ def _dense_ranks(x):
     return ranks, starts
 
 
+_BLOCK_LEVELS = 4                # merge levels 0-3 are one pass over blocks of 16
+_BLOCK = 1 << _BLOCK_LEVELS
+
+
+def _bit_sum(n, s):
+    """Sum of the integers in [0, n) whose bit s is set."""
+    half = 1 << s
+    q, rem = divmod(n, 2 * half)
+    c = max(rem - half, 0)
+    return (half * half * q * (q - 1) + q * half * (3 * half - 1) // 2
+            + c * 2 * half * q + c * (half + rem - 1) // 2)
+
+
+def _key_dtypes(n):
+    """The key dtype of each merge level s = 4, 5, ... of ``_inversions`` on n
+    ranks: a key (pair, rank, side) of level s takes 2*bits - s bits, where
+    bits is the bit length of n - 1."""
+    bits = max(int(n - 1).bit_length(), 1)
+    return [np.uint32 if 2 * bits - s <= 32 else np.int64
+            for s in range(_BLOCK_LEVELS, bits)]
+
+
+def _block_inversions(ranks):
+    """Inversions inside each block of 16 positions of int64 ``ranks`` (and
+    inside the shorter last block), from the ranks d = 1..15 apart."""
+    m = ranks.size - ranks.size % _BLOCK
+    # row i holds element i of every whole block, so each comparison is contiguous
+    cols = ranks[:m].reshape(-1, _BLOCK).T.astype(np.int32, order="C")
+    tail = ranks[m:]
+    return sum(int(np.count_nonzero(cols[:-d] > cols[d:]))
+               + int(np.count_nonzero(tail[:-d] > tail[d:])) for d in range(1, _BLOCK))
+
+
 def _inversions(ranks):
     """Number of strict inversions (ranks[i] > ranks[j], i < j) of integer
-    ranks in [0, n), by bottom-up merge levels (n < 2**31).
+    ranks in [0, n), n < 2**31, by bottom-up merge levels.
 
-    Each level sorts every pair of sorted blocks at once, as keys (pair,
-    rank, side).  An element of a right block moves left by the number of
-    larger elements of its left block, which are its inversions across the
-    two blocks; equal ranks keep the left block first.
+    Levels 0-3 are one pass over the blocks of 16 positions (and the shorter
+    last block): inside each, the ranks d = 1..15 positions apart are
+    compared directly.  Each later level s sorts every pair of blocks of
+    2**s positions at once, as keys (pair, rank, side).  An element of a
+    right block moves left by the number of larger elements of its left
+    block, which are its inversions across the two blocks; equal ranks keep
+    the left block first.  The moves do not depend on the order inside a
+    block, so the blocks of 16 are merged unsorted.  A level's count is the
+    positions of its right-block elements before the sort, in closed form,
+    minus their positions after it, by one int64 dot product; neither sum
+    exceeds n(n-1)/2 < 2**63.
+
+    The key of level s takes 2*bits - s bits for ranks of ``bits`` bits, so
+    it is packed into uint32 wherever that is at most 32 (``_key_dtypes``):
+    every level for n <= 2**18.  The levels below stay int64, which are
+    levels 4 and 5 from n = 2**18 + 1 on.
     """
     n = len(ranks)
     bits = max(int(n - 1).bit_length(), 1)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    count = _block_inversions(ranks)
     pos = np.arange(n, dtype=np.int64)
-    ranks2 = np.asarray(ranks, dtype=np.int64) << 1
-    key = np.empty(n, dtype=np.int64)
-    side = np.empty(n, dtype=np.int64)
-    count = 0
-    s = 0
-    while (1 << s) < n:
-        np.right_shift(pos, s, out=side)
+    rank_mask = ((1 << bits) - 1) << 1
+    key = None
+    for s, dtype in enumerate(_key_dtypes(n), start=_BLOCK_LEVELS):
+        if key is None or key.dtype != dtype:        # the first level, or the switch to uint32
+            if key is not None:
+                ranks = (key & rank_mask) >> 1
+            ranks2 = ranks.astype(dtype)
+            ranks2 <<= 1
+            at, key, side = np.arange(n, dtype=dtype), np.empty(n, dtype), np.empty(n, dtype)
+        else:
+            np.bitwise_and(key, rank_mask, out=ranks2)
+        np.right_shift(at, s, out=side)
         side &= 1                                    # 1 in right blocks
-        np.right_shift(pos, s + 1, out=key)
+        np.right_shift(at, s + 1, out=key)
         key <<= bits + 1
         key |= ranks2
         key |= side
         key.sort()
-        count += int(pos @ side)                     # positions before the merge ...
         np.bitwise_and(key, 1, out=side)
-        count -= int(pos @ side)                     # ... minus positions after it
-        np.bitwise_and(key, ((1 << bits) - 1) << 1, out=ranks2)
-        s += 1
+        count += _bit_sum(n, s) - int(pos @ side)    # positions before the merge minus after
     return count
 
 
@@ -185,17 +235,36 @@ def kendall_rho(batch: SampleBatch):
 # ---------------------------------------------------------------------------
 # radii and tail fit
 
-def pseudo_radii(batch: SampleBatch, rho):
-    """(R1, R2): the raw u-coordinates and the elliptical radii implied by rho."""
+def _source_radii(batch: SampleBatch, rho, source):
+    """The radii of one source: "R1" (u), "R2" (the elliptical radii implied
+    by rho) or "V" (v).  Every source needs |rho| < 1."""
     if not -1.0 < rho < 1.0:
         raise DomainError("need |rho| < 1 for pseudo-radii")
-    r1 = batch.u.copy()
-    resid = (batch.v - rho * batch.u) / math.sqrt(1.0 - rho ** 2)
-    r2 = np.sqrt(batch.u ** 2 + resid ** 2)
-    return r1, r2
+    if source == "R2":
+        resid = (batch.v - rho * batch.u) / math.sqrt(1.0 - rho ** 2)
+        return np.sqrt(batch.u ** 2 + resid ** 2)
+    return batch.u if source == "R1" else batch.v
+
+
+def pseudo_radii(batch: SampleBatch, rho):
+    """(R1, R2): the raw u-coordinates and the elliptical radii implied by rho."""
+    r2 = _source_radii(batch, rho, "R2")
+    return batch.u.copy(), r2
+
+
+class _TopOrderStats(NamedTuple):
+    top: np.ndarray     # R_{n-k+1:n} .. R_{n:n} ascending
+    n: int              # positive radii
+    k: int
+    dropped: int        # nonpositive radii
 
 
 def _top_order_stats(radii, k):
+    """The top k order statistics of the positive radii (k capped at n - 1).
+    Given the result of an earlier call, returns it: ``pipeline`` takes them
+    once and hands them to both ``gg_theta`` and ``r_hat``."""
+    if isinstance(radii, _TopOrderStats):
+        return radii
     radii = np.asarray(radii, dtype=float)
     pos = radii[radii > 0]
     dropped = radii.size - pos.size
@@ -205,8 +274,8 @@ def _top_order_stats(radii, k):
     k = min(k, n - 1)
     if k < 1:
         raise DomainError("too few positive radii for the requested k_n")
-    top = np.sort(np.partition(pos, n - k)[n - k:])   # R_{n-k+1:n} .. R_{n:n} ascending
-    return top, n, k, dropped
+    top = np.sort(np.partition(pos, n - k)[n - k:])
+    return _TopOrderStats(top, n, k, dropped)
 
 
 def gg_theta(radii, k_n):
@@ -296,19 +365,17 @@ def pipeline(batch: SampleBatch, cfg: EstimatorConfig | None = None):
     except (DomainError, NumericError) as exc:
         raise StageError(f"correlation stage failed: {exc}", stage="kendall") from exc
     try:
-        r1, r2 = pseudo_radii(batch, rho)
+        radii = _source_radii(batch, rho, source)
     except (DomainError, NumericError) as exc:
         raise StageError(f"radius stage failed: {exc}", stage="radii") from exc
-    radii = {"R1": r1, "R2": r2, "V": batch.v}[source]
     try:
-        theta = gg_theta(radii, k)
-        r = r_hat(radii, theta, k)
+        stats = _top_order_stats(radii, k)
+        theta = gg_theta(stats, k)
+        r = r_hat(stats, theta, k)
     except (DomainError, NumericError) as exc:
         raise StageError(f"tail-fit stage failed: {exc}", stage="tail_fit") from exc
-    pos = int(np.sum(np.asarray(radii) > 0))
-    dropped = len(radii) - pos
-    if dropped:
-        warnings.append(f"excluded {dropped} nonpositive radii from tail fitting")
-    fit = TailFitResult(theta=theta, r=r, source=source, k_n=min(k, pos - 1),
-                        n_used=pos, n_dropped=dropped)
+    if stats.dropped:
+        warnings.append(f"excluded {stats.dropped} nonpositive radii from tail fitting")
+    fit = TailFitResult(theta=theta, r=r, source=source, k_n=stats.k,
+                        n_used=stats.n, n_dropped=stats.dropped)
     return PipelineResult(tau=tau, rho=rho, fit=fit, warnings=warnings)

@@ -332,3 +332,53 @@ def test_pipeline_warns_when_k_n_is_capped():
     assert res.warnings == ["k_n=100000 capped at n // 3 = 100"]
     assert not pipeline(batch, EstimatorConfig(k_n=100, radius_source="R2")).warnings
     assert not pipeline(batch, EstimatorConfig(radius_source="R2")).warnings
+
+
+def composed_fit(batch, cfg):
+    """The stages one call each, as pipeline composed them before it took the
+    radii of one source only and the top order statistics once:
+    kendall_rho -> (R1, R2) -> gg_theta -> r_hat, then a count of the
+    positive radii.  R2 is written out so that pseudo_radii is not the oracle
+    of itself."""
+    k = cfg.resolve_k(batch.n)
+    tau, rho = kendall_rho(batch)
+    resid = (batch.v - rho * batch.u) / math.sqrt(1.0 - rho ** 2)
+    radii = {"R1": batch.u.copy(), "R2": np.sqrt(batch.u ** 2 + resid ** 2),
+             "V": batch.v}[cfg.radius_source.upper()]
+    theta = gg_theta(radii, k)
+    r = r_hat(radii, theta, k)
+    pos = int(np.sum(radii > 0))
+    return tau, rho, theta, r, min(k, pos - 1), pos, radii.size - pos
+
+
+@pytest.mark.parametrize("source", ["R1", "R2", "V", "r2"])
+@pytest.mark.parametrize("n, k_n", [(20000, None), (90, None), (300, 100000), (400, 7)])
+def test_pipeline_equals_the_composed_stages(source, n, k_n):
+    pairs = sample_elliptical(EllipticalModel(0.5, Rayleigh(1.0)), n, seed=n)
+    batch = SampleBatch.from_pairs(pairs)
+    cfg = EstimatorConfig(k_n=k_n, radius_source=source)
+    res = pipeline(batch, cfg)
+    tau, rho, theta, r, k, pos, dropped = composed_fit(batch, cfg)
+    assert (res.tau, res.rho, res.fit.theta, res.fit.r) == (tau, rho, theta, r)
+    assert (res.fit.k_n, res.fit.n_used, res.fit.n_dropped) == (k, pos, dropped)
+    assert res.fit.source == source.upper()
+    expect = []
+    if n < 100:
+        expect.append("small sample: n < 100; tail estimates are unreliable")
+    if k_n is not None and k_n > n // 3:
+        expect.append(f"k_n={k_n} capped at n // 3 = {n // 3}")
+    if dropped:
+        expect.append(f"excluded {dropped} nonpositive radii from tail fitting")
+    assert res.warnings == expect
+    assert (source.upper() == "R2") == (dropped == 0)     # u and v take both signs
+
+
+@pytest.mark.parametrize("source", ["R1", "R2", "V"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pipeline_radius_stage_needs_abs_rho_below_one_for_every_source(source, sign):
+    u = np.arange(1.0, 31.0)
+    batch = SampleBatch(u, sign * u)
+    assert kendall_rho(batch) == (sign, sign)
+    with pytest.raises(StageError, match="need \\|rho\\| < 1") as exc:
+        pipeline(batch, EstimatorConfig(radius_source=source))
+    assert exc.value.stage == "radii"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -25,9 +26,10 @@ from betascale import (
     conditional_density_point,
     kendall_rho,
     make_rng,
+    sample_elliptical,
 )
 from betascale.elliptical import _exceed_montecarlo, _half_widths
-from betascale.estimation import _inversions, _top_order_stats
+from betascale.estimation import _dense_ranks, _inversions, _key_dtypes, _top_order_stats
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,104 @@ def test_kendall_large_sample_against_brute_force_blocks():
     dv = np.sign(v[:, None] - v[None, :])
     expect = np.triu(du * dv, 1).sum() / (3000 * 2999 // 2)
     assert kendall_rho(SampleBatch(u, v))[0] == pytest.approx(expect, abs=1e-15)
+
+
+def merge_level_inversions(ranks):
+    """The bottom-up merge count with one int64 sort per level from level 0,
+    as ``_inversions`` counted before its 16-wide block base and 32-bit keys."""
+    n = len(ranks)
+    bits = max(int(n - 1).bit_length(), 1)
+    pos = np.arange(n, dtype=np.int64)
+    ranks2 = np.asarray(ranks, dtype=np.int64) << 1
+    key = np.empty(n, dtype=np.int64)
+    side = np.empty(n, dtype=np.int64)
+    count = 0
+    s = 0
+    while (1 << s) < n:
+        np.right_shift(pos, s, out=side)
+        side &= 1
+        np.right_shift(pos, s + 1, out=key)
+        key <<= bits + 1
+        key |= ranks2
+        key |= side
+        key.sort()
+        count += int(pos @ side)
+        np.bitwise_and(key, 1, out=side)
+        count -= int(pos @ side)
+        np.bitwise_and(key, ((1 << bits) - 1) << 1, out=ranks2)
+        s += 1
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 2 ** 16 + 1, 2 ** 18 + 1])
+@pytest.mark.parametrize("kind", ["tie-heavy", "decreasing", "sorted"])
+def test_inversions_against_merge_levels_at_every_regime_boundary(n, kind):
+    """Sizes at the block base's edges (one block, a ragged last block) and at
+    the key widths' edges (2**18 + 1 is the first n with int64 levels)."""
+    ranks = {"tie-heavy": make_rng(n).integers(0, 3, size=n),
+             "decreasing": np.arange(n)[::-1],
+             "sorted": np.arange(n)}[kind]
+    count = _inversions(ranks)
+    assert count == merge_level_inversions(ranks)
+    if kind != "tie-heavy":
+        assert count == (n * (n - 1) // 2 if kind == "decreasing" else 0)
+
+
+@pytest.mark.parametrize("n", [5, 2 ** 7 + 3, 2 ** 16 + 1, 2 ** 18 + 1])
+def test_inversions_of_random_permutations_against_merge_levels(n):
+    ranks = make_rng(n).permutation(n)
+    assert _inversions(ranks) == merge_level_inversions(ranks)
+
+
+@pytest.mark.parametrize("n, int64_levels, uint32_levels", [
+    (16, 0, 0), (17, 0, 1), (2 ** 18, 0, 14), (2 ** 18 + 1, 2, 13), (200_000, 0, 14),
+    (2 ** 31 - 1, 26, 1)])
+def test_key_widths(n, int64_levels, uint32_levels):
+    dtypes = _key_dtypes(n)
+    assert dtypes == [np.int64] * int64_levels + [np.uint32] * uint32_levels
+
+
+def rayleigh_batch():
+    """200k Rayleigh pairs at rho = 0.5, the law and size ``elliptical_estimate`` fits."""
+    pairs = sample_elliptical(EllipticalModel(0.5, Rayleigh(1.0)), 200_000, seed=11)
+    return SampleBatch.from_pairs(pairs)
+
+
+def joint_v_ranks(batch):
+    """The v ranks of the pairs in (u, v) order, as ``kendall_rho`` counts them."""
+    n = batch.n
+    key = _dense_ranks(batch.u)[0] * n + _dense_ranks(batch.v)[0]
+    key.sort()
+    return key % n
+
+
+def test_kendall_tau_bit_equal_to_merge_levels_on_200k_pairs():
+    batch = rayleigh_batch()
+    n = batch.n
+    n0 = n * (n - 1) // 2
+    assert np.unique(batch.u).size == n == np.unique(batch.v).size   # no tied pairs
+    tau = (n0 - 2 * merge_level_inversions(joint_v_ranks(batch))) / n0
+    assert kendall_rho(batch) == (tau, math.sin(math.pi * tau / 2.0))
+
+
+def kendall_report(repeats=5):
+    """Seconds of kendall_rho on ``rayleigh_batch``, and of ``_inversions``
+    and ``merge_level_inversions`` on its v ranks (best of ``repeats``), then
+    the number of sort passes on int64 and on uint32 keys."""
+    batch = rayleigh_batch()
+    ranks = joint_v_ranks(batch)
+
+    def best(fn, arg):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn(arg)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    dtypes = _key_dtypes(batch.n)
+    return (best(kendall_rho, batch), best(_inversions, ranks),
+            best(merge_level_inversions, ranks), dtypes.count(np.int64), dtypes.count(np.uint32))
 
 
 # ---------------------------------------------------------------------------
