@@ -188,13 +188,10 @@ def _inversions(ranks):
     count = _block_inversions(ranks)
     pos = np.arange(n, dtype=np.int64)
     rank_mask = ((1 << bits) - 1) << 1
-    key = None
+    key = ranks2 = None
     for s, dtype in enumerate(_key_dtypes(n), start=_BLOCK_LEVELS):
-        if key is None or key.dtype != dtype:        # the first level, or the switch to uint32
-            if key is not None:
-                ranks = (key & rank_mask) >> 1
-            ranks2 = ranks.astype(dtype)
-            ranks2 <<= 1
+        if ranks2 is None or ranks2.dtype != dtype:  # the first level, or the switch to uint32
+            ranks2 = (ranks << 1 if key is None else key & rank_mask).astype(dtype)
             at, key, side = np.arange(n, dtype=dtype), np.empty(n, dtype), np.empty(n, dtype)
         else:
             np.bitwise_and(key, rank_mask, out=ranks2)
