@@ -191,7 +191,8 @@ def _inversions(ranks):
     key = ranks2 = None
     for s, dtype in enumerate(_key_dtypes(n), start=_BLOCK_LEVELS):
         if ranks2 is None or ranks2.dtype != dtype:  # the first level, or the switch to uint32
-            ranks2 = (ranks << 1 if key is None else key & rank_mask).astype(dtype)
+            ranks2 = (ranks if key is None else (key & rank_mask) >> 1).astype(dtype)
+            ranks2 <<= 1
             at, key, side = np.arange(n, dtype=dtype), np.empty(n, dtype), np.empty(n, dtype)
         else:
             np.bitwise_and(key, rank_mask, out=ranks2)
