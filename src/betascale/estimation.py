@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -132,22 +131,12 @@ _BLOCK_LEVELS = 4                # merge levels 0-3 are one pass over blocks of 
 _BLOCK = 1 << _BLOCK_LEVELS
 
 
-def _bit_sum(n, s):
-    """Sum of the integers in [0, n) whose bit s is set."""
-    half = 1 << s
-    q, rem = divmod(n, 2 * half)
-    c = max(rem - half, 0)
-    return (half * half * q * (q - 1) + q * half * (3 * half - 1) // 2
-            + c * 2 * half * q + c * (half + rem - 1) // 2)
-
-
-def _key_dtypes(n):
-    """The key dtype of each merge level s = 4, 5, ... of ``_inversions`` on n
-    ranks: a key (pair, rank, side) of level s takes 2*bits - s bits, where
-    bits is the bit length of n - 1."""
+def _key_dtype(n):
+    """The key dtype of ``_inversions`` on n ranks: a key (pair, rank, side)
+    of merge level s takes 2*bits - s bits, where bits is the bit length of
+    n - 1, so level 4's keys, the widest, fit in uint32 for n <= 2**18."""
     bits = max(int(n - 1).bit_length(), 1)
-    return [np.uint32 if 2 * bits - s <= 32 else np.int64
-            for s in range(_BLOCK_LEVELS, bits)]
+    return np.uint32 if 2 * bits - _BLOCK_LEVELS <= 32 else np.int64
 
 
 def _block_inversions(ranks):
@@ -173,38 +162,36 @@ def _inversions(ranks):
     block, which are its inversions across the two blocks; equal ranks keep
     the left block first.  The moves do not depend on the order inside a
     block, so the blocks of 16 are merged unsorted.  A level's count is the
-    positions of its right-block elements before the sort, in closed form,
-    minus their positions after it, by one int64 dot product; neither sum
-    exceeds n(n-1)/2 < 2**63.
+    positions of its right-block elements before the sort minus their
+    positions after it, each one int64 dot product; neither sum exceeds
+    n(n-1)/2 < 2**63.
 
-    The key of level s takes 2*bits - s bits for ranks of ``bits`` bits, so
-    it is packed into uint32 wherever that is at most 32 (``_key_dtypes``):
-    every level for n <= 2**18.  The levels below stay int64, which are
-    levels 4 and 5 from n = 2**18 + 1 on.
+    The keys of every level are uint32 for n <= 2**18, where the widest of
+    them fits in 32 bits, and int64 above (``_key_dtype``).
     """
     n = len(ranks)
     bits = max(int(n - 1).bit_length(), 1)
     ranks = np.asarray(ranks, dtype=np.int64)
     count = _block_inversions(ranks)
+    dtype = _key_dtype(n)
     pos = np.arange(n, dtype=np.int64)
-    rank_mask = ((1 << bits) - 1) << 1
-    key = ranks2 = None
-    for s, dtype in enumerate(_key_dtypes(n), start=_BLOCK_LEVELS):
-        if ranks2 is None or ranks2.dtype != dtype:  # the first level, or the switch to uint32
-            ranks2 = (ranks if key is None else (key & rank_mask) >> 1).astype(dtype)
-            ranks2 <<= 1
-            at, key, side = np.arange(n, dtype=dtype), np.empty(n, dtype), np.empty(n, dtype)
-        else:
-            np.bitwise_and(key, rank_mask, out=ranks2)
+    at = pos.astype(dtype, copy=False)
+    ranks2 = ranks.astype(dtype)
+    ranks2 <<= 1
+    key = np.empty(n, dtype=dtype)
+    side = np.empty(n, dtype=dtype)
+    for s in range(_BLOCK_LEVELS, bits):
         np.right_shift(at, s, out=side)
         side &= 1                                    # 1 in right blocks
         np.right_shift(at, s + 1, out=key)
         key <<= bits + 1
         key |= ranks2
         key |= side
+        count += int(pos @ side)                     # positions before the merge ...
         key.sort()
         np.bitwise_and(key, 1, out=side)
-        count += _bit_sum(n, s) - int(pos @ side)    # positions before the merge minus after
+        count -= int(pos @ side)                     # ... minus positions after it
+        np.bitwise_and(key, ((1 << bits) - 1) << 1, out=ranks2)
     return count
 
 
@@ -250,19 +237,10 @@ def pseudo_radii(batch: SampleBatch, rho):
     return batch.u.copy(), r2
 
 
-class _TopOrderStats(NamedTuple):
-    top: np.ndarray     # R_{n-k+1:n} .. R_{n:n} ascending
-    n: int              # positive radii
-    k: int
-    dropped: int        # nonpositive radii
-
-
 def _top_order_stats(radii, k):
-    """The top k order statistics of the positive radii (k capped at n - 1).
-    Given the result of an earlier call, returns it: ``pipeline`` takes them
-    once and hands them to both ``gg_theta`` and ``r_hat``."""
-    if isinstance(radii, _TopOrderStats):
-        return radii
+    """(top, n, k, dropped): the top k order statistics of the positive radii,
+    ascending, with k capped at n - 1, where n is the number of positive
+    radii and dropped the number of the others."""
     radii = np.asarray(radii, dtype=float)
     pos = radii[radii > 0]
     dropped = radii.size - pos.size
@@ -272,20 +250,11 @@ def _top_order_stats(radii, k):
     k = min(k, n - 1)
     if k < 1:
         raise DomainError("too few positive radii for the requested k_n")
-    top = np.sort(np.partition(pos, n - k)[n - k:])
-    return _TopOrderStats(top, n, k, dropped)
+    top = np.sort(np.partition(pos, n - k)[n - k:])   # R_{n-k+1:n} .. R_{n:n} ascending
+    return top, n, k, dropped
 
 
-def gg_theta(radii, k_n):
-    """Log-spacing estimate of theta in sf(x) = exp(-r x**theta (1 + o(1))).
-
-    theta_hat = T_n / M_n with
-      M_n = (1/k) sum_i [log R_{n-i+1:n} - log R_{n-k+1:n}]
-      T_n = (1/k) sum_i [log log(n/i) - log log(n/k)]
-    Terms with log(n/i) <= 1 are excluded from both sums, which preserves
-    the exact identity theta_hat = theta on exact Weibull quantiles.
-    """
-    top, n, k, dropped = _top_order_stats(radii, k_n)
+def _theta_from_top(top, n, k):
     pivot_log = math.log(top[0])         # log R_{n-k+1:n} (the k-th largest)
     base = math.log(n / k)
     if base <= 0.0:
@@ -300,15 +269,32 @@ def gg_theta(radii, k_n):
     return (t_sum / kept) / (m_sum / kept)
 
 
-def r_hat(radii, theta, k_n):
-    """Scale estimate (1/k) sum_i log(n/i) / R_{n-i+1:n}**theta."""
-    if theta <= 0:
-        raise DomainError("theta must be positive")
-    top, n, k, dropped = _top_order_stats(radii, k_n)
+def _scale_from_top(top, n, k, theta):
     val = float(np.sum(np.log(n / np.arange(1, k + 1)) / top[::-1] ** theta)) / k
     if val <= 0:
         raise NumericError("nonpositive scale estimate")
     return val
+
+
+def gg_theta(radii, k_n):
+    """Log-spacing estimate of theta in sf(x) = exp(-r x**theta (1 + o(1))).
+
+    theta_hat = T_n / M_n with
+      M_n = (1/k) sum_i [log R_{n-i+1:n} - log R_{n-k+1:n}]
+      T_n = (1/k) sum_i [log log(n/i) - log log(n/k)]
+    Terms with log(n/i) <= 1 are excluded from both sums, which preserves
+    the exact identity theta_hat = theta on exact Weibull quantiles.
+    """
+    top, n, k, _ = _top_order_stats(radii, k_n)
+    return _theta_from_top(top, n, k)
+
+
+def r_hat(radii, theta, k_n):
+    """Scale estimate (1/k) sum_i log(n/i) / R_{n-i+1:n}**theta."""
+    if theta <= 0:
+        raise DomainError("theta must be positive")
+    top, n, k, _ = _top_order_stats(radii, k_n)
+    return _scale_from_top(top, n, k, theta)
 
 
 def w_hat(fit: TailFitResult, x):
@@ -367,13 +353,13 @@ def pipeline(batch: SampleBatch, cfg: EstimatorConfig | None = None):
     except (DomainError, NumericError) as exc:
         raise StageError(f"radius stage failed: {exc}", stage="radii") from exc
     try:
-        stats = _top_order_stats(radii, k)
-        theta = gg_theta(stats, k)
-        r = r_hat(stats, theta, k)
+        top, n_used, k, dropped = _top_order_stats(radii, k)
+        theta = _theta_from_top(top, n_used, k)
+        r = _scale_from_top(top, n_used, k, theta)
     except (DomainError, NumericError) as exc:
         raise StageError(f"tail-fit stage failed: {exc}", stage="tail_fit") from exc
-    if stats.dropped:
-        warnings.append(f"excluded {stats.dropped} nonpositive radii from tail fitting")
-    fit = TailFitResult(theta=theta, r=r, source=source, k_n=stats.k,
-                        n_used=stats.n, n_dropped=stats.dropped)
+    if dropped:
+        warnings.append(f"excluded {dropped} nonpositive radii from tail fitting")
+    fit = TailFitResult(theta=theta, r=r, source=source, k_n=k,
+                        n_used=n_used, n_dropped=dropped)
     return PipelineResult(tau=tau, rho=rho, fit=fit, warnings=warnings)

@@ -29,7 +29,7 @@ from betascale import (
     sample_elliptical,
 )
 from betascale.elliptical import _exceed_montecarlo, _half_widths
-from betascale.estimation import _dense_ranks, _inversions, _key_dtypes, _top_order_stats
+from betascale.estimation import _dense_ranks, _inversions, _key_dtype, _top_order_stats
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def merge_level_inversions(ranks):
 @pytest.mark.parametrize("kind", ["tie-heavy", "decreasing", "sorted"])
 def test_inversions_against_merge_levels_at_every_regime_boundary(n, kind):
     """Sizes at the block base's edges (one block, a ragged last block) and at
-    the key widths' edges (2**18 + 1 is the first n with int64 levels)."""
+    the key width's edge (2**18 + 1 is the first n with int64 keys)."""
     ranks = {"tie-heavy": make_rng(n).integers(0, 3, size=n),
              "decreasing": np.arange(n)[::-1],
              "sorted": np.arange(n)}[kind]
@@ -139,12 +139,11 @@ def test_inversions_of_random_permutations_against_merge_levels(n):
     assert _inversions(ranks) == merge_level_inversions(ranks)
 
 
-@pytest.mark.parametrize("n, int64_levels, uint32_levels", [
-    (16, 0, 0), (17, 0, 1), (2 ** 18, 0, 14), (2 ** 18 + 1, 2, 13), (200_000, 0, 14),
-    (2 ** 31 - 1, 26, 1)])
-def test_key_widths(n, int64_levels, uint32_levels):
-    dtypes = _key_dtypes(n)
-    assert dtypes == [np.int64] * int64_levels + [np.uint32] * uint32_levels
+@pytest.mark.parametrize("n, dtype", [
+    (2, np.uint32), (17, np.uint32), (200_000, np.uint32), (2 ** 18, np.uint32),
+    (2 ** 18 + 1, np.int64), (2 ** 31 - 1, np.int64)])
+def test_key_width(n, dtype):
+    assert _key_dtype(n) is dtype
 
 
 def rayleigh_batch():
@@ -185,9 +184,10 @@ def kendall_report(repeats=5):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    dtypes = _key_dtypes(batch.n)
+    passes = (batch.n - 1).bit_length() - 4          # one per merge level from level 4 on
+    wide = _key_dtype(batch.n) is np.int64
     return (best(kendall_rho, batch), best(_inversions, ranks),
-            best(merge_level_inversions, ranks), dtypes.count(np.int64), dtypes.count(np.uint32))
+            best(merge_level_inversions, ranks), passes * wide, passes * (not wide))
 
 
 # ---------------------------------------------------------------------------
