@@ -131,6 +131,18 @@ def _qk21(f, half):
     return resk * half, err
 
 
+def _piece_nodes(a, w, mid, half, affine):
+    """(y, t): qk21's nodes y, one row per subinterval mid +- half in t of a
+    bounded piece from a of width w (1-D arrays), by the engine's affine map
+    y = a + w*t or its smoothstep map y = a + w*t**2*(3 - 2t); t holds the
+    nodes in t (None for the affine map)."""
+    a = a[:, None]
+    if affine:
+        return a + (w * mid)[:, None] + (w * half)[:, None] * _GK_X, None
+    t = mid[:, None] + half[:, None] * _GK_X
+    return a + w[:, None] * t * t * (3.0 - 2.0 * t), t
+
+
 def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
                    affine=False):
     """Adaptive qk21 quadrature of n integrals at once: (values, errors).
@@ -157,17 +169,16 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     def mapped(j, mid, half, infinite):
         """(node values, half-lengths) of qk21 on the subintervals mid +- half
         in t of the pieces j, all bounded or all infinite."""
-        a = start[j][:, None]
         if infinite:
             t = mid[:, None] + half[:, None] * _GK_X
             r = (1.0 - t) / t
-            return fn(j, a + r * r) * 2.0 * r / (t * t), half
+            return fn(j, start[j][:, None] + r * r) * 2.0 * r / (t * t), half
         w = width[j]
+        y, t = _piece_nodes(start[j], w, mid, half, affine)
         if affine:
-            return fn(j, a + (w * mid)[:, None] + (w * half)[:, None] * _GK_X), w * half
-        t = mid[:, None] + half[:, None] * _GK_X
+            return fn(j, y), w * half
         w = w[:, None]
-        return fn(j, a + w * t * t * (3.0 - 2.0 * t)) * 6.0 * w * t * (1.0 - t), half
+        return fn(j, y) * 6.0 * w * t * (1.0 - t), half
 
     def rule(piece, lo, hi):
         mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
@@ -222,21 +233,16 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     return value, error
 
 
-def _pieces(knots, beta, x, upper):
-    """(owner, lo, hi): the pieces of the points of the 1-D array x in point
-    order, one per gap between the ``knots`` inside (x, upper) (none where
-    x >= upper), in u = (y - x)**beta when beta < 1 and in y otherwise."""
-    knots = np.unique(np.asarray(knots, dtype=float))
-    ends = np.append(knots[knots < upper], upper)
+def _pieces(ends, x):
+    """(owner, lo, hi, j): the pieces in y of the points of the 1-D array x
+    in point order, one per gap between the increasing ``ends`` inside
+    (x, ends[-1]) (none where x >= ends[-1]); piece r ends at ends[j[r]]."""
     first = np.searchsorted(ends[:-1], x, side="right")
-    count = np.where(x < upper, ends.size - first, 0)
+    count = np.where(x < ends[-1], ends.size - first, 0)
     owner = np.repeat(np.arange(x.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
     j = first[owner] + k
-    lo, hi = np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j]
-    if beta < 1.0:
-        lo, hi = (lo - x[owner]) ** beta, (hi - x[owner]) ** beta
-    return owner, lo, hi
+    return owner, np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j], j
 
 
 def power_weight(c):
@@ -262,39 +268,97 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     overflows.
 
     The pieces are those of _pieces, so a kink, jump or atom at a knot is a
-    piece end on an infinite range too; for beta < 1 the kernel is 1/beta in
-    u.  h takes the nodes as an (m, 21) array, one row per subinterval.
-    With ``affine`` (h piecewise polynomial between the knots) and
-    beta <= 1 the bounded pieces take the engine's affine map; for beta > 1
-    the kernel weight (y - x)**(beta - 1) is singular at x, which the
-    smoothstep map absorbs.  As quad was, the engine is asked for 0.01*atol
-    and 0.01*rtol, with max(cfg.limit, 3k + 50) subintervals for k knots
-    inside the range.  With at most 2 knots (so at most 3 pieces a point)
-    and cfg.limit >= 4, every piece starts as 4 subintervals, so that a
-    smooth analytic integrand mostly converges in the first round; an
-    ``affine`` integrand, whose polynomial pieces converge whole, and a
-    call with more knots start from whole pieces.  The start depends on the
-    call's knots alone, not on the other points.
+    piece end on an infinite range too.  For beta < 1 a piece runs in
+    u = (y - x)**beta, where the kernel is 1/beta; for beta >= 1 it runs in
+    y with the kernel weight (y - x)**(beta - 1) in the integrand.  h takes
+    the nodes as an (m, 21) array, one row per subinterval.  With ``affine``
+    (h piecewise polynomial between the knots) and beta <= 1 the bounded
+    pieces take the engine's affine map; for beta > 1 the kernel weight's
+    derivative is singular at x, which the smoothstep map absorbs.
+
+    An ``affine`` integrand also runs in y, kernel weight times beta, each
+    piece of beta < 1 whose left end is a knot at least the piece's width
+    above x; only the first piece of a point and the pieces close to x keep
+    u, where the kernel's singularity is near.  The pieces in u come first,
+    each point's in their order, then the pieces in y, so that the engine's
+    calls of h mostly hold one kind of row.  The nodes of a whole bounded
+    gap between two knots do not depend on x in y, so h is evaluated once
+    per call on the whole-piece nodes of each gap that a piece in y fills,
+    and a row whose nodes equal its gap's table row bit for bit reads h
+    from that table; a subdivided row calls h itself.
+
+    As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
+    max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
+    With at most 2 knots (so at most 3 pieces a point) and cfg.limit >= 4,
+    every piece starts as 4 subintervals, so that a smooth analytic
+    integrand mostly converges in the first round; an ``affine`` integrand,
+    whose polynomial pieces converge whole, and a call with more knots
+    start from whole pieces.  The pieces, their start and the table rows a
+    point reads depend on the call's knots and that point alone.
     """
-    owner, lo, hi = _pieces(knots, beta, x, upper)
+    knots = np.unique(np.asarray(knots, dtype=float))
+    ends = np.append(knots[knots < upper], upper)
+    owner, lo, hi, j = _pieces(ends, x)
     xo = x[owner]
+    near = owner.size if beta < 1.0 else 0  # pieces [0, near) run in u
+    if affine and beta < 1.0:
+        far = lo - xo >= hi - lo
+        order = np.argsort(far, kind="stable")
+        owner, lo, hi, j, xo = (v[order] for v in (owner, lo, hi, j, xo))
+        near -= np.count_nonzero(far)
+    lo[:near], hi[:near] = (lo[:near] - xo[:near]) ** beta, (hi[:near] - xo[:near]) ** beta
+
+    # the table: h on the whole-piece nodes of each gap ends[g], ends[g + 1]
+    # that a bounded piece in y can fill; slot m, NaN nodes, matches no row
+    m = ends.size - 1
+    slot = np.where((np.arange(owner.size) >= near) & (j > 0) & np.isfinite(hi), j - 1, m)
+    gaps = np.flatnonzero(np.bincount(slot, minlength=m + 1)[:m]) if affine else np.empty(0)
+    if gaps.size:
+        y_tab = np.full((m + 1, _GK_X.size), np.nan)
+        half = np.full(gaps.size, 0.5)
+        y_tab[gaps] = _piece_nodes(ends[gaps], ends[gaps + 1] - ends[gaps], half, half,
+                                   beta <= 1.0)[0]
+        h_tab = np.zeros(y_tab.shape)
+        h_tab[gaps] = np.asarray(h(y_tab[gaps]), dtype=float)
+
+    def h_at(piece, y):
+        if not gaps.size:
+            return np.asarray(h(y), dtype=float)
+        s = slot[piece]
+        hit = (y == y_tab[s]).all(axis=1)
+        if not hit.any():
+            return np.asarray(h(y), dtype=float)
+        vals = h_tab[s]
+        if not hit.all():
+            vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
+        return vals
 
     def fn(piece, u):
         xp = xo[piece][:, None]
-        with np.errstate(over="ignore"):
-            y = xp + u ** (1.0 / beta) if beta < 1.0 else u
+        inu = piece < near
+        y = u
+        if inu.any():
+            with np.errstate(over="ignore"):
+                y = xp + u ** (1.0 / beta)
+            if not inu.all():
+                y = np.where(inu[:, None], y, u)
         finite = np.isfinite(y)
         whole = finite.all()
         if not whole:
             y = np.where(finite, y, xp)
-        vals = np.asarray(h(y), dtype=float)
+        vals = h_at(piece, y)
         if beta > 1.0:
             vals = vals * (y - xp) ** (beta - 1.0)
+        elif beta < 1.0 and not inu.all():
+            # rows in y: the kernel weight times beta, for the scale 1/beta of u
+            with np.errstate(divide="ignore", over="ignore"):
+                w = beta * (y - xp) ** (beta - 1.0)
+            vals = vals * (np.where(inu[:, None], 1.0, w) if inu.any() else w)
         return vals if whole else np.where(finite, vals, 0.0)
 
     count = np.bincount(owner, minlength=x.size)
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
-    parts = 4 if not affine and np.unique(knots).size <= 2 and cfg.limit >= 4 else 1
+    parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
                               parts=parts, affine=affine and beta <= 1.0)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
