@@ -197,7 +197,7 @@ def _cmd_scale(args, man):
     else:
         plan = (IterationPlan.parse(args.plan) if args.plan
                 else IterationPlan.default_for(args.beta))
-        if abs(plan.beta - args.beta) > 1e-9:
+        if not abs(plan.beta - args.beta) <= 1e-9:  # a NaN --beta fails too
             raise DomainError("plan must start at beta")
         grid = _parse_grid(args.x_grid) if args.x_grid else default_grid(d)
         vals = invert_iterative(d, args.alpha, plan, grid).cdf(grid)

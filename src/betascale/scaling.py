@@ -390,8 +390,11 @@ class IterationPlan:
 
     @classmethod
     def default_for(cls, beta):
-        """Split beta into equal steps of size <= 1."""
-        k = int(math.ceil(beta - 1e-12))
+        """Split beta > 0 into equal steps of size <= 1, at least one; a beta
+        that is not finite and positive raises DomainError."""
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise DomainError(f"beta must be finite and positive, not {beta}")
+        k = max(1, math.ceil(beta - 1e-12))
         return cls([beta * (k - i) / k for i in range(k)])
 
 
@@ -413,6 +416,8 @@ def invert_iterative(F, alpha, plan, grid, cfg=None, mono_tol=1e-3):
     # fail spuriously deep in the tail of the extended working grid
     cfg = cfg or QuadratureConfig(atol=1e-6, rtol=1e-6)
     grid = _points(grid, "grid")
+    if grid.size == 0:
+        raise DomainError("grid needs at least one point")
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing and positive")
 

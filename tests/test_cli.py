@@ -429,6 +429,36 @@ def test_exit_code_nonfinite_input(tmp_path, capsys, expo1, gauss_rho05, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"],
+                         ids=["nan-beta", "infinite-beta", "zero-beta", "negative-beta"])
+def test_scale_invert_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, capsys, expo1,
+                                                                     beta):
+    out = tmp_path / "out.csv"
+    assert main(["scale", "invert", "--dist", expo1, "--alpha", "1", "--beta", beta,
+                 "--x-grid", "0.1:2:5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: beta must be finite and positive, not {float(beta)}\n"
+    assert not out.exists()
+
+
+def test_scale_invert_rejects_a_nan_beta_with_an_explicit_plan(tmp_path, capsys, expo1):
+    out = tmp_path / "out.csv"
+    assert main(["scale", "invert", "--dist", expo1, "--alpha", "1", "--beta", "nan",
+                 "--plan", "0.5", "--x-grid", "0.1:2:5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: plan must start at beta\n"
+    assert not out.exists()
+
+
+def test_scale_invert_takes_a_tiny_beta_in_one_stage(tmp_path, expo1):
+    out = tmp_path / "out.csv"
+    assert main(["scale", "invert", "--dist", expo1, "--alpha", "1", "--beta", "1e-13",
+                 "--x-grid", "0.1:2:5", "--out", str(out)]) == 0
+    # B_{1, 1e-13} is all but a point mass at 1: the recovered law is the input's
+    _, rows = read_csv_out(out)
+    assert len(rows) == 5
+    assert np.abs(rows[:, 1] - (1.0 - np.exp(-rows[:, 0]))).max() <= 1e-9
+
+
 @pytest.mark.parametrize("doc,key", [({"family": "kotz", "M": 1, "N": 0, "r": 1}, "theta"),
                                      ({"family": "pareto", "xmin": 2}, "gamma")])
 def test_missing_law_parameter_exits_1(tmp_path, capsys, doc, key):

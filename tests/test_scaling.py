@@ -233,6 +233,26 @@ def test_iteration_plan_parsing():
     assert IterationPlan(["1.5", 0.75]).breakpoints == [1.5, 0.75]
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_default_plan_rejects_a_beta_that_is_not_finite_and_positive(beta):
+    with pytest.raises(DomainError, match=rf"^beta must be finite and positive, not {beta}$"):
+        IterationPlan.default_for(beta)
+
+
+@pytest.mark.parametrize("beta,stages", [(1e-13, 1), (0.5, 1), (1.0, 1), (1.0 + 1e-13, 1),
+                                         (1.6, 2), (2.5, 3)])
+def test_default_plan_gives_every_positive_beta_a_stage(beta, stages):
+    plan = IterationPlan.default_for(beta)
+    assert plan.beta == beta and len(plan.lams) == stages
+    if stages == 1:
+        assert plan.breakpoints == IterationPlan([beta]).breakpoints
+
+
+def test_invert_iterative_rejects_an_empty_grid():
+    with pytest.raises(DomainError, match=r"^grid needs at least one point$"):
+        invert_iterative(Exponential(1.0), 1.0, IterationPlan([0.5]), [])
+
+
 def test_invert_iterative_two_step_recovers_uniform():
     grid = np.geomspace(1e-3, 0.999, 200)
     F = TabulatedCdf(np.linspace(1e-9, 1.0, 800),
