@@ -11,7 +11,10 @@ integrates a kernel against the measure dH of a distribution function H:
 
 with J_{0,g} H := g * h where h is the density of H.  For beta in (0, 1)
 the kernel is integrably singular at y = x; the substitution u = (y - x)**beta
-removes the singularity before quadrature.
+removes the singularity before quadrature.  A tabulated law's piece lying
+between two knots at least its own width above x is far from the
+singularity and runs in y instead, where its nodes do not depend on x: h is
+evaluated once per call on each such gap's nodes and read from that table.
 
 Every kernel integral goes through one adaptive Gauss-Kronrod engine
 (``_gauss_kronrod``), many points at once.  Each point's value depends on
