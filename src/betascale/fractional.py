@@ -237,15 +237,15 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
 
 
 def _pieces(ends, x):
-    """(owner, lo, hi, j): the pieces in y of the points of the 1-D array x
-    in point order, one per gap between the increasing ``ends`` inside
-    (x, ends[-1]) (none where x >= ends[-1]); piece r ends at ends[j[r]]."""
+    """(owner, lo, hi): the pieces in y of the points of the 1-D array x in
+    point order, one per gap between the increasing ``ends`` inside
+    (x, ends[-1]) (none where x >= ends[-1])."""
     first = np.searchsorted(ends[:-1], x, side="right")
     count = np.where(x < ends[-1], ends.size - first, 0)
     owner = np.repeat(np.arange(x.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
     j = first[owner] + k
-    return owner, np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j], j
+    return owner, np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j]
 
 
 def power_weight(c):
@@ -288,7 +288,8 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     gap between two knots do not depend on x in y, so h is evaluated once
     per call on the whole-piece nodes of each gap that a piece in y fills,
     and a row whose nodes equal its gap's table row bit for bit reads h
-    from that table; a subdivided row calls h itself.
+    from that table; a subdivided row calls h itself.  Either way a row
+    gets h at its own nodes.
 
     As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
     max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
@@ -296,45 +297,52 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     every piece starts as 4 subintervals, so that a smooth analytic
     integrand mostly converges in the first round; an ``affine`` integrand,
     whose polynomial pieces converge whole, and a call with more knots
-    start from whole pieces.  The pieces, their start and the table rows a
-    point reads depend on the call's knots and that point alone.
+    start from whole pieces.  The pieces and their start depend on the
+    call's knots and the point alone.
     """
     knots = np.unique(np.asarray(knots, dtype=float))
     ends = np.append(knots[knots < upper], upper)
-    owner, lo, hi, j = _pieces(ends, x)
-    xo = x[owner]
+    owner, lo, hi = _pieces(ends, x)
     near = owner.size if beta < 1.0 else 0  # pieces [0, near) run in u
     if affine and beta < 1.0:
-        far = lo - xo >= hi - lo
-        order = np.argsort(far, kind="stable")
-        owner, lo, hi, j, xo = (v[order] for v in (owner, lo, hi, j, xo))
+        far = lo - x[owner] >= hi - lo
         near -= np.count_nonzero(far)
+        order = np.argsort(far, kind="stable")
+        owner, lo, hi = owner[order], lo[order], hi[order]
+    xo = x[owner]
     lo[:near], hi[:near] = (lo[:near] - xo[:near]) ** beta, (hi[:near] - xo[:near]) ** beta
 
-    # the table: h on the whole-piece nodes of each gap ends[g], ends[g + 1]
-    # that a bounded piece in y can fill; slot m, NaN nodes, matches no row
-    m = ends.size - 1
-    slot = np.where((np.arange(owner.size) >= near) & (j > 0) & np.isfinite(hi), j - 1, m)
-    gaps = np.flatnonzero(np.bincount(slot, minlength=m + 1)[:m]) if affine else np.empty(0)
-    if gaps.size:
-        y_tab = np.full((m + 1, _GK_X.size), np.nan)
-        half = np.full(gaps.size, 0.5)
-        y_tab[gaps] = _piece_nodes(ends[gaps], ends[gaps + 1] - ends[gaps], half, half,
-                                   beta <= 1.0)[0]
-        h_tab = np.zeros(y_tab.shape)
-        h_tab[gaps] = np.asarray(h(y_tab[gaps]), dtype=float)
+    # the table: h on the whole-piece nodes of each bounded gap between two
+    # ends that the lowest point's pieces in y fill, which are all the gaps
+    # that any point's do; the other gaps' NaN nodes match no row
+    table = None
+    if affine and owner.size:
+        left, width = ends[:-1], np.diff(ends)
+        x0 = x.min()
+        gaps = np.flatnonzero((left - x0 >= width if beta < 1.0 else left >= x0)
+                              & np.isfinite(width))
+        if gaps.size:
+            y_tab = np.full((width.size, _GK_X.size), np.nan)
+            half = np.full(gaps.size, 0.5)
+            y_tab[gaps] = _piece_nodes(left[gaps], width[gaps], half, half, beta <= 1.0)[0]
+            h_tab = np.zeros(y_tab.shape)
+            h_tab[gaps] = np.asarray(h(y_tab[gaps]), dtype=float)
+            table = y_tab, h_tab
 
-    def h_at(piece, y):
-        if not gaps.size:
-            return np.asarray(h(y), dtype=float)
-        s = slot[piece]
-        hit = (y == y_tab[s]).all(axis=1)
-        if not hit.any():
-            return np.asarray(h(y), dtype=float)
-        vals = h_tab[s]
-        if not hit.all():
-            vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
-        return vals
+    def h_at(y):
+        """h at the nodes y, read from the table in each row that equals the
+        table row of the gap holding its first node."""
+        if table is not None:
+            y_tab, h_tab = table
+            gap = np.searchsorted(ends, y[:, 0], "right").clip(1, y_tab.shape[0]) - 1
+            hit = (y == y_tab[gap]).all(axis=1)
+            if hit.all():
+                return h_tab[gap]
+            if hit.any():
+                vals = h_tab[gap]
+                vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
+                return vals
+        return np.asarray(h(y), dtype=float)
 
     def fn(piece, u):
         xp = xo[piece][:, None]
@@ -349,7 +357,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         whole = finite.all()
         if not whole:
             y = np.where(finite, y, xp)
-        vals = h_at(piece, y)
+        vals = h_at(y)
         if beta > 1.0:
             vals = vals * (y - xp) ** (beta - 1.0)
         elif beta < 1.0 and not inu.all():
