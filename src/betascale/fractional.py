@@ -314,7 +314,8 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
 
     # the table: h on the whole-piece nodes of each bounded gap between two
     # ends that the lowest point's pieces in y fill, which are all the gaps
-    # that any point's do; the other gaps' NaN nodes match no row
+    # that any point's do; the other gaps' NaN nodes, and the NaN row after
+    # the last gap, which rows outside the ends find, match no row
     table = None
     if affine and owner.size:
         left, width = ends[:-1], np.diff(ends)
@@ -322,7 +323,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         gaps = np.flatnonzero((left - x0 >= width if beta < 1.0 else left >= x0)
                               & np.isfinite(width))
         if gaps.size:
-            y_tab = np.full((width.size, _GK_X.size), np.nan)
+            y_tab = np.full((ends.size, _GK_X.size), np.nan)
             half = np.full(gaps.size, 0.5)
             y_tab[gaps] = _piece_nodes(left[gaps], width[gaps], half, half, beta <= 1.0)[0]
             h_tab = np.zeros(y_tab.shape)
@@ -334,7 +335,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         table row of the gap holding its first node."""
         if table is not None:
             y_tab, h_tab = table
-            gap = np.searchsorted(ends, y[:, 0], "right").clip(1, y_tab.shape[0]) - 1
+            gap = np.searchsorted(ends, y[:, 0], "right") - 1
             hit = (y == y_tab[gap]).all(axis=1)
             if hit.all():
                 return h_tab[gap]
