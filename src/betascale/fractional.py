@@ -333,17 +333,17 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     def h_at(y):
         """h at the nodes y, read from the table in each row that equals the
         table row of the gap holding its first node."""
-        if table is not None:
-            y_tab, h_tab = table
-            gap = np.searchsorted(ends, y[:, 0], "right") - 1
-            hit = (y == y_tab[gap]).all(axis=1)
-            if hit.all():
-                return h_tab[gap]
-            if hit.any():
-                vals = h_tab[gap]
-                vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
-                return vals
-        return np.asarray(h(y), dtype=float)
+        if table is None:
+            return np.asarray(h(y), dtype=float)
+        y_tab, h_tab = table
+        gap = np.searchsorted(ends, y[:, 0], "right") - 1
+        hit = (y == y_tab[gap]).all(axis=1)
+        if not hit.any():
+            return np.asarray(h(y), dtype=float)
+        vals = h_tab[gap]
+        if not hit.all():
+            vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
+        return vals
 
     def fn(piece, u):
         xp = xo[piece][:, None]
