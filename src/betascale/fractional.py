@@ -309,6 +309,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         near -= np.count_nonzero(far)
         order = np.argsort(far, kind="stable")
         owner, lo, hi = owner[order], lo[order], hi[order]
+        del far, order  # not held through the engine's run
     xo = x[owner]
     lo[:near], hi[:near] = (lo[:near] - xo[:near]) ** beta, (hi[:near] - xo[:near]) ** beta
 
