@@ -285,8 +285,9 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     u, where the kernel's singularity is near.  The pieces in u come first,
     each point's in their order, then the pieces in y, so that the engine's
     calls of h mostly hold one kind of row.  The nodes of a whole bounded
-    gap between two knots do not depend on x in y, so h is evaluated once
-    per call on the whole-piece nodes of each gap that a piece in y fills,
+    gap between two knots do not depend on x in y, so for beta < 1 h is
+    evaluated once per call on the affine whole-piece nodes of each gap
+    that a piece in y fills,
     and a row whose nodes equal its gap's table row bit for bit reads h
     from that table; a subdivided row calls h itself.  Either way a row
     gets h at its own nodes.
@@ -318,15 +319,13 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     # that any point's do; the other gaps' NaN nodes, and the NaN row after
     # the last gap, which rows outside the ends find, match no row
     table = None
-    if affine and owner.size:
+    if affine and beta < 1.0 and owner.size:
         left, width = ends[:-1], np.diff(ends)
-        x0 = x.min()
-        gaps = np.flatnonzero((left - x0 >= width if beta < 1.0 else left >= x0)
-                              & np.isfinite(width))
+        gaps = np.flatnonzero((left - x.min() >= width) & np.isfinite(width))
         if gaps.size:
             y_tab = np.full((ends.size, _GK_X.size), np.nan)
             half = np.full(gaps.size, 0.5)
-            y_tab[gaps] = _piece_nodes(left[gaps], width[gaps], half, half, beta <= 1.0)[0]
+            y_tab[gaps] = _piece_nodes(left[gaps], width[gaps], half, half, True)[0]
             h_tab = np.zeros(y_tab.shape)
             h_tab[gaps] = np.asarray(h(y_tab[gaps]), dtype=float)
             table = y_tab, h_tab

@@ -134,6 +134,9 @@ def test_weyl_forward_of_a_table_matches_the_u_map_oracle(monkeypatch, tables, f
         ref, ref_calls = counting_qk21(monkeypatch, lambda: under_oracle(monkeypatch, run))
         assert np.abs(ours - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), name
         assert calls == ref_calls, name
+        if beta >= 1.0:
+            # no piece runs in u and no table is built: the oracle's own code
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes(), name
 
 
 def test_first_failing_point_matches_the_u_map_oracle(monkeypatch, tables):
@@ -189,7 +192,7 @@ def test_whole_gap_rows_read_the_table(monkeypatch):
     seen.clear()
     under_oracle(monkeypatch, lambda: _law_integral(h, F, 0.5, x, F.upper, STAGE_CFG, "probe"))
     ref = np.concatenate(seen)
-    whole = whole_gap_rows(F.grid, F.upper, 0.5, ours)
+    whole = whole_gap_rows(F.grid, F.upper, ours)
     # one table row per gap that a piece in y fills, no row twice
     assert 0 < whole.sum() < F.grid.size
     assert np.unique(ours[whole], axis=0).shape[0] == whole.sum()
@@ -217,12 +220,12 @@ def test_forward_tabulated_then_invert_onestep_recovers_the_law(law, alpha, beta
 # ---------------------------------------------------------------------------
 # the cost of the criterion-3 inversions, reported by CI
 
-def whole_gap_rows(knots, upper, beta, y):
+def whole_gap_rows(knots, upper, y):
     """Which rows of the nodes y are the whole-piece nodes of a gap between
-    two of the knots (below upper), in the engine's map for beta."""
+    two of the knots (below upper), in the engine's affine map."""
     ends = np.append(knots[knots < upper], upper)
     half = np.full(ends.size - 1, 0.5)
-    gap = fractional._piece_nodes(ends[:-1], np.diff(ends), half, half, beta <= 1.0)[0]
+    gap = fractional._piece_nodes(ends[:-1], np.diff(ends), half, half, True)[0]
     g = np.clip(np.searchsorted(ends, y[:, 0]) - 1, 0, ends.size - 2)
     return (y == gap[g]).all(axis=1)
 
@@ -268,7 +271,9 @@ def stage_report(repeats=3):
         knots = np.asarray(knots, dtype=float)
 
         def counted(y):
-            direct[0] += y.shape[0] - whole_gap_rows(knots, upper, beta, y).sum()
+            # beta >= 1 builds no table
+            shared = whole_gap_rows(knots, upper, y).sum() if beta < 1.0 else 0
+            direct[0] += y.shape[0] - shared
             return h(y)
 
         return kernel(counted, knots, beta, x, upper, cfg, what, affine)
