@@ -14,7 +14,8 @@ the kernel is integrably singular at y = x; the substitution u = (y - x)**beta
 removes the singularity before quadrature.  A tabulated law's piece lying
 between two knots at least its own width above x is far from the
 singularity and runs in y instead, where its nodes do not depend on x: h is
-evaluated once per call on each such gap's nodes and read from that table.
+evaluated once per call on each such gap's nodes, and the engine's first
+round reads those pieces' integrand straight from that table.
 
 Every kernel integral goes through one adaptive Gauss-Kronrod engine
 (``_gauss_kronrod``), many points at once.  Each point's value depends on
@@ -147,7 +148,7 @@ def _piece_nodes(a, w, mid, half, affine):
 
 
 def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
-                   affine=False):
+                   affine=False, first=None):
     """Adaptive qk21 quadrature of n integrals at once: (values, errors).
 
     Integral i is value[i] (an exact part, 0 by default) plus the integrals
@@ -165,14 +166,21 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     max(epsabs, epsrel*|value|) bisects its largest-error subinterval, as
     QUADPACK does, while it holds fewer than ``limit`` (scalar or per
     integral).  The caller checks the result.
+
+    ``first`` = (k, read) gives the first round the node values of the
+    pieces k onward, bounded and whole (``affine``, parts == 1): read(j) is
+    the integrand at the nodes of the pieces j, whose rows skip ``fn``.
     """
     value = np.zeros(n) if value is None else value
     start, width, tail = lo, hi - lo, np.isinf(hi)
+    skip, read = first or (owner.size, None)
 
-    def mapped(j, mid, half, infinite):
+    def mapped(j, mid, half, kind):
         """(node values, half-lengths) of qk21 on the subintervals mid +- half
-        in t of the pieces j, all bounded or all infinite."""
-        if infinite:
+        in t of the pieces j, all of one kind: 0 bounded, 1 infinite, 2 read."""
+        if kind == 2:
+            return read(j), width[j] * half
+        if kind == 1:
             t = mid[:, None] + half[:, None] * _GK_X
             r = (1.0 - t) / t
             return fn(j, start[j][:, None] + r * r) * 2.0 * r / (t * t), half
@@ -183,17 +191,23 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         w = w[:, None]
         return fn(j, y) * 6.0 * w * t * (1.0 - t), half
 
-    def rule(piece, lo, hi):
+    def rule(piece, lo, hi, skip):
+        """qk21 on the subintervals lo..hi in t of the pieces ``piece``, those
+        from ``skip`` on read; the first round's pieces ascend."""
         mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
-        if not infinite.any() or infinite.all():
-            return _qk21(*mapped(piece, mid, half, infinite.any()))
+        if piece[0] >= skip:
+            return _qk21(*mapped(piece, mid, half, 2))
+        if piece[-1] < skip and (not infinite.any() or infinite.all()):
+            return _qk21(*mapped(piece, mid, half, int(infinite[0])))
+        kind = infinite + 2 * (piece >= skip)
         f, scale = np.empty((piece.size, _GK_X.size)), np.empty(piece.size)
-        for rows, kind in ((~infinite, False), (infinite, True)):
-            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], kind)
+        for c in np.flatnonzero(np.bincount(kind, minlength=3)):
+            rows = kind == c
+            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], c)
         return _qk21(f, scale)
 
-    def evaluate(piece, lo, hi):
-        out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK])
+    def evaluate(piece, lo, hi, skip=owner.size):
+        out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK], skip)
                for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
         return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
 
@@ -201,7 +215,7 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     lo = np.tile(np.arange(parts) / parts, owner.size)
     hi = lo + 1.0 / parts
     error = np.zeros(n)
-    val, err = evaluate(piece, lo, hi)
+    val, err = evaluate(piece, lo, hi, skip)
     while piece.size:
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
@@ -237,15 +251,16 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
 
 
 def _pieces(ends, x):
-    """(owner, lo, hi): the pieces in y of the points of the 1-D array x in
-    point order, one per gap between the increasing ``ends`` inside
-    (x, ends[-1]) (none where x >= ends[-1])."""
+    """(owner, lo, hi, gap): the pieces in y of the points of the 1-D array x
+    in point order, one per gap between the increasing ``ends`` inside
+    (x, ends[-1]) (none where x >= ends[-1]); piece r lies in the gap from
+    ends[gap[r]] to ends[gap[r] + 1], -1 below ends[0]."""
     first = np.searchsorted(ends[:-1], x, side="right")
     count = np.where(x < ends[-1], ends.size - first, 0)
     owner = np.repeat(np.arange(x.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    j = first[owner] + k
-    return owner, np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j]
+    gap = first[owner] + k - 1
+    return owner, np.where(k == 0, x[owner], ends[np.maximum(gap, 0)]), ends[gap + 1], gap
 
 
 def power_weight(c):
@@ -287,10 +302,10 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     calls of h mostly hold one kind of row.  The nodes of a whole bounded
     gap between two knots do not depend on x in y, so for beta < 1 h is
     evaluated once per call on the affine whole-piece nodes of each gap
-    that a piece in y fills,
-    and a row whose nodes equal its gap's table row bit for bit reads h
-    from that table; a subdivided row calls h itself.  Either way a row
-    gets h at its own nodes.
+    that a piece in y fills.  The engine's first round, whose pieces in y
+    are such whole gaps, reads their values from that table, times the
+    kernel weight at the point, without building nodes or calling h; a
+    bisected piece calls h at its own nodes.
 
     As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
     max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
@@ -303,50 +318,41 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     """
     knots = np.unique(np.asarray(knots, dtype=float))
     ends = np.append(knots[knots < upper], upper)
-    owner, lo, hi = _pieces(ends, x)
+    owner, lo, hi, gap = _pieces(ends, x)
     near = owner.size if beta < 1.0 else 0  # pieces [0, near) run in u
     if affine and beta < 1.0:
         far = lo - x[owner] >= hi - lo
         near -= np.count_nonzero(far)
         order = np.argsort(far, kind="stable")
-        owner, lo, hi = owner[order], lo[order], hi[order]
+        owner, lo, hi, gap = owner[order], lo[order], hi[order], gap[order][near:]
         del far, order  # not held through the engine's run
-    xo = x[owner]
-    lo[:near], hi[:near] = (lo[:near] - xo[:near]) ** beta, (hi[:near] - xo[:near]) ** beta
+    else:
+        gap = np.empty(0, dtype=int)  # no piece reads the table
+    xo = x[owner[:near]]  # fn and read gather x per chunk: no copy per piece is held
+    lo[:near], hi[:near] = (lo[:near] - xo) ** beta, (hi[:near] - xo) ** beta
+    del xo
 
-    # the table: h on the whole-piece nodes of each bounded gap between two
-    # ends that the lowest point's pieces in y fill, which are all the gaps
-    # that any point's do; the other gaps' NaN nodes, and the NaN row after
-    # the last gap, which rows outside the ends find, match no row
-    table = None
-    if affine and beta < 1.0 and owner.size:
-        left, width = ends[:-1], np.diff(ends)
-        gaps = np.flatnonzero((left - x.min() >= width) & np.isfinite(width))
-        if gaps.size:
-            y_tab = np.full((ends.size, _GK_X.size), np.nan)
-            half = np.full(gaps.size, 0.5)
-            y_tab[gaps] = _piece_nodes(left[gaps], width[gaps], half, half, True)[0]
-            h_tab = np.zeros(y_tab.shape)
-            h_tab[gaps] = np.asarray(h(y_tab[gaps]), dtype=float)
-            table = y_tab, h_tab
+    # the table: h on the whole-piece nodes of each gap that a piece in y
+    # fills, from which the first round reads those pieces' node values
+    first = None
+    if gap.size:
+        gaps = np.flatnonzero(np.bincount(gap, minlength=ends.size - 1))
+        half = np.full(gaps.size, 0.5)
+        y_tab = np.zeros((ends.size - 1, _GK_X.size))
+        y_tab[gaps] = _piece_nodes(ends[gaps], np.diff(ends)[gaps], half, half, True)[0]
+        h_tab = np.zeros(y_tab.shape)
+        h_tab[gaps] = h(y_tab[gaps])
 
-    def h_at(y):
-        """h at the nodes y, read from the table in each row that equals the
-        table row of the gap holding its first node."""
-        if table is None:
-            return np.asarray(h(y), dtype=float)
-        y_tab, h_tab = table
-        gap = np.searchsorted(ends, y[:, 0], "right") - 1
-        hit = (y == y_tab[gap]).all(axis=1)
-        if not hit.any():
-            return np.asarray(h(y), dtype=float)
-        vals = h_tab[gap]
-        if not hit.all():
-            vals[~hit] = np.asarray(h(y[~hit]), dtype=float)
-        return vals
+        def read(j):
+            """fn's values on the whole pieces j in y, from the table."""
+            g = gap[j - near]
+            with np.errstate(divide="ignore", over="ignore"):
+                return h_tab[g] * (beta * (y_tab[g] - x[owner[j]][:, None]) ** (beta - 1.0))
+
+        first = near, read
 
     def fn(piece, u):
-        xp = xo[piece][:, None]
+        xp = x[owner[piece]][:, None]
         inu = piece < near
         y = u
         if inu.any():
@@ -358,7 +364,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         whole = finite.all()
         if not whole:
             y = np.where(finite, y, xp)
-        vals = h_at(y)
+        vals = np.asarray(h(y), dtype=float)
         if beta > 1.0:
             vals = vals * (y - xp) ** (beta - 1.0)
         elif beta < 1.0 and not inu.all():
@@ -372,7 +378,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
     parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
-                              parts=parts, affine=affine and beta <= 1.0)
+                              parts=parts, affine=affine and beta <= 1.0, first=first)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)

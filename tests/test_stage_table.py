@@ -31,14 +31,7 @@ def u_map_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     """The kernel integral with every piece of beta < 1 in u = (y - x)**beta
     and h evaluated at every row's own nodes: fractional._kernel_integral
     before the pieces away from x ran in y."""
-    knots = np.unique(np.asarray(knots, dtype=float))
-    ends = np.append(knots[knots < upper], upper)
-    first = np.searchsorted(ends[:-1], x, side="right")
-    count = np.where(x < upper, ends.size - first, 0)
-    owner = np.repeat(np.arange(x.size), count)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    j = first[owner] + k
-    lo, hi = np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j]
+    knots, count, owner, lo, hi = oracle_pieces(knots, upper, x)
     xo = x[owner]
     if beta < 1.0:
         lo, hi = (lo - xo) ** beta, (hi - xo) ** beta
@@ -67,10 +60,73 @@ def u_map_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     return val
 
 
-def under_oracle(monkeypatch, call):
-    """call() with the all-u-map kernel integral in the library's place."""
+def oracle_pieces(knots, upper, x):
+    """(knots, pieces per point, owner, lo, hi): the oracles' sorted unique
+    knots and pieces in y, one per gap between the knots below upper and
+    upper inside (x, upper), each point's in order."""
+    knots = np.unique(np.asarray(knots, dtype=float))
+    ends = np.append(knots[knots < upper], upper)
+    first = np.searchsorted(ends[:-1], x, side="right")
+    count = np.where(x < upper, ends.size - first, 0)
+    owner = np.repeat(np.arange(x.size), count)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    j = first[owner] + k
+    return knots, count, owner, np.where(k == 0, x[owner], ends[np.maximum(j - 1, 0)]), ends[j]
+
+
+def no_table_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
+    """The kernel integral with the pieces of an ``affine`` integrand of
+    beta < 1 that lie at least their own width above x in y and the others
+    in u, and h evaluated at every row's own nodes:
+    fractional._kernel_integral without its table of whole-gap nodes."""
+    knots, count, owner, lo, hi = oracle_pieces(knots, upper, x)
+    near = owner.size if beta < 1.0 else 0
+    if affine and beta < 1.0:
+        far = lo - x[owner] >= hi - lo
+        near -= np.count_nonzero(far)
+        order = np.argsort(far, kind="stable")
+        owner, lo, hi = owner[order], lo[order], hi[order]
+    xo = x[owner]
+    lo[:near], hi[:near] = (lo[:near] - xo[:near]) ** beta, (hi[:near] - xo[:near]) ** beta
+
+    def fn(piece, u):
+        xp = xo[piece][:, None]
+        inu = piece < near
+        y = u
+        if inu.any():
+            with np.errstate(over="ignore"):
+                y = xp + u ** (1.0 / beta)
+            if not inu.all():
+                y = np.where(inu[:, None], y, u)
+        finite = np.isfinite(y)
+        whole = finite.all()
+        if not whole:
+            y = np.where(finite, y, xp)
+        vals = np.asarray(h(y), dtype=float)
+        if beta > 1.0:
+            vals = vals * (y - xp) ** (beta - 1.0)
+        elif beta < 1.0 and not inu.all():
+            with np.errstate(divide="ignore", over="ignore"):
+                w = beta * (y - xp) ** (beta - 1.0)
+            vals = vals * (np.where(inu[:, None], 1.0, w) if inu.any() else w)
+        return vals if whole else np.where(finite, vals, 0.0)
+
+    limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
+    parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
+    val, err = fractional._gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol,
+                                         0.01 * cfg.rtol, limit, parts=parts,
+                                         affine=affine and beta <= 1.0)
+    scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
+    val, err = scale * val, scale * err
+    cfg.check_points(x, val, err, what)
+    return val
+
+
+def under_oracle(monkeypatch, call, oracle=u_map_kernel_integral):
+    """call() with an oracle kernel integral, the all-u-map one by default,
+    in the library's place."""
     with monkeypatch.context() as m:
-        m.setattr(fractional, "_kernel_integral", u_map_kernel_integral)
+        m.setattr(fractional, "_kernel_integral", oracle)
         return call()
 
 
@@ -200,6 +256,71 @@ def test_whole_gap_rows_read_the_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# against the oracle without the table: the same bytes
+
+def no_table(monkeypatch, call):
+    return under_oracle(monkeypatch, call, no_table_kernel_integral)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_stage_equals_the_no_table_oracle(monkeypatch, tables, delta):
+    for name, F in tables.items():
+        x = points(F)
+        ours, calls = counting_qk21(monkeypatch, lambda: stage(F, delta, x))
+        ref, ref_calls = counting_qk21(monkeypatch,
+                                       lambda: no_table(monkeypatch, lambda: stage(F, delta, x)))
+        assert ours.tobytes() == ref.tobytes(), name
+        assert calls == ref_calls, name
+
+
+@pytest.mark.parametrize("forward", [forward_cdf, forward_pdf])
+def test_weyl_forward_of_a_table_equals_the_no_table_oracle(monkeypatch, tables, forward):
+    for name, F in tables.items():
+        run = lambda: forward(F, 1.5, 0.3, points(F, 12), mode="weyl")
+        assert run().tobytes() == no_table(monkeypatch, run).tobytes(), name
+
+
+def test_criterion3_inversions_equal_the_no_table_oracle(monkeypatch):
+    def recovered(F, alpha, plan, grid):
+        try:
+            G = invert_iterative(F, alpha, plan, grid)
+        except StageError as exc:
+            return str(exc), exc.x
+        return G.grid.tobytes(), G.values.tobytes()
+
+    for case in criterion3_inversions():
+        assert recovered(*case) == no_table(monkeypatch, lambda: recovered(*case))
+
+
+def test_first_round_reads_every_whole_piece_in_y(monkeypatch, tables):
+    """The first round reads each piece in y once from the table, and fn
+    sees none of their whole-gap rows; fn sees only bisected ones."""
+    engine = fractional._gauss_kronrod
+    F = tables["Exponential a=1 b=0.5"]
+    x = points(F)
+    seen = {}
+
+    def spy(fn, owner, lo, hi, n, *args, first=None, **kwargs):
+        skip, read = first
+        seen.update(pieces=owner.size, skip=skip, read=[], fn=[])
+
+        def fn_spy(j, y):
+            seen["fn"].append(y[j >= skip])
+            return fn(j, y)
+
+        return engine(fn_spy, owner, lo, hi, n, *args,
+                      first=(skip, lambda j: seen["read"].append(j) or read(j)), **kwargs)
+
+    monkeypatch.setattr(fractional, "_gauss_kronrod", spy)
+    stage(F, 0.5, x)
+    assert 0 < seen["skip"] < seen["pieces"]
+    read = np.concatenate(seen["read"])
+    assert read.tolist() == list(range(seen["skip"], seen["pieces"]))
+    in_y = np.concatenate(seen["fn"])
+    assert not whole_gap_rows(F.grid, F.upper, in_y).any()
+
+
+# ---------------------------------------------------------------------------
 # forward then invert
 
 _ONESTEP_LAWS = [Exponential(1.0), Gamma(2.5, 1.5), Rayleigh(1.0)]
@@ -244,12 +365,15 @@ def criterion3_inversions():
     return out
 
 
-def stage_report(repeats=3):
+def stage_report(repeats=3, first_round=None):
     """(the best of ``repeats`` timed runs of the 12 criterion-3 inversions
     in seconds, inf for none; then, from one more run, their qk21 calls, the
     subintervals of those calls and the share of the subintervals whose
-    integrand came from the shared table).  Uniform (1, 1.6) raises
-    StageError at stage 2 and counts up to there."""
+    integrand came from the shared table).  With a dict ``first_round``, that
+    run also stores in it how many of its kernel integrals' first-round
+    subintervals were read straight from the table ("read") and how many had
+    their nodes built ("built").  Uniform (1, 1.6) raises StageError at
+    stage 2 and counts up to there."""
     cases = criterion3_inversions()
 
     def run():
@@ -264,8 +388,8 @@ def stage_report(repeats=3):
         t = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - t)
-    rows, direct = [], [0]
-    kernel, qk21 = fractional._kernel_integral, fractional._qk21
+    rows, direct, round1 = [], [0], {"read": 0, "built": 0}
+    kernel, qk21, engine = fractional._kernel_integral, fractional._qk21, fractional._gauss_kronrod
 
     def spy(h, knots, beta, x, upper, cfg, what, affine=False):
         knots = np.asarray(knots, dtype=float)
@@ -278,12 +402,28 @@ def stage_report(repeats=3):
 
         return kernel(counted, knots, beta, x, upper, cfg, what, affine)
 
-    fractional._kernel_integral = spy
+    def engine_spy(fn, owner, lo, hi, n, *args, parts=1, first=None, **kwargs):
+        round1["built"] += owner.size * parts
+        if first is not None:
+            skip, read = first
+
+            def counted(j):
+                round1["read"] += j.size
+                round1["built"] -= j.size
+                return read(j)
+
+            first = skip, counted
+        return engine(fn, owner, lo, hi, n, *args, parts=parts, first=first, **kwargs)
+
+    fractional._kernel_integral, fractional._gauss_kronrod = spy, engine_spy
     fractional._qk21 = lambda f, half: rows.append(len(f)) or qk21(f, half)
     try:
         run()
     finally:
         fractional._kernel_integral, fractional._qk21 = kernel, qk21
+        fractional._gauss_kronrod = engine
+    if first_round is not None:
+        first_round.update(round1)
     return best, len(rows), sum(rows), float(1.0 - direct[0] / sum(rows))
 
 
@@ -294,3 +434,12 @@ def test_stage_report(monkeypatch):
     _, ref_calls, ref_rows, ref_shared = under_oracle(monkeypatch, lambda: stage_report(0))
     assert (calls, rows) == (ref_calls, ref_rows)
     assert ref_shared == 0.0 and 0.5 < shared < 1.0
+
+
+def test_stage_report_counts_the_first_round(monkeypatch):
+    ours, ref = {}, {}
+    _, _, rows, _ = stage_report(0, ours)
+    under_oracle(monkeypatch, lambda: stage_report(0, ref))
+    # every stage converges in its first round
+    assert ours["read"] + ours["built"] == ref["built"] == rows
+    assert ref["read"] == 0 and 0.5 * rows < ours["read"] < rows
