@@ -195,15 +195,19 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         """qk21 on the subintervals lo..hi in t of the pieces ``piece``, those
         from ``skip`` on read; the first round's pieces ascend."""
         mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
-        if piece[0] >= skip:
+        if piece[-1] < skip:  # no row is read
+            if not infinite.any() or infinite.all():
+                return _qk21(*mapped(piece, mid, half, int(infinite[0])))
+            kinds = (~infinite, 0), (infinite, 1)
+        elif piece[0] >= skip:
             return _qk21(*mapped(piece, mid, half, 2))
-        if piece[-1] < skip and (not infinite.any() or infinite.all()):
-            return _qk21(*mapped(piece, mid, half, int(infinite[0])))
-        kind = infinite + 2 * (piece >= skip)
+        else:
+            tabled = piece >= skip
+            kinds = [(rows, kind) for rows, kind in
+                     ((~(infinite | tabled), 0), (infinite, 1), (tabled, 2)) if rows.any()]
         f, scale = np.empty((piece.size, _GK_X.size)), np.empty(piece.size)
-        for c in np.flatnonzero(np.bincount(kind, minlength=3)):
-            rows = kind == c
-            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], c)
+        for rows, kind in kinds:
+            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], kind)
         return _qk21(f, scale)
 
     def evaluate(piece, lo, hi, skip=owner.size):
@@ -259,8 +263,9 @@ def _pieces(ends, x):
     count = np.where(x < ends[-1], ends.size - first, 0)
     owner = np.repeat(np.arange(x.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    gap = first[owner] + k - 1
-    return owner, np.where(k == 0, x[owner], ends[np.maximum(gap, 0)]), ends[gap + 1], gap
+    j = first[owner] + k
+    gap = j - 1
+    return owner, np.where(k == 0, x[owner], ends[np.maximum(gap, 0)]), ends[j], gap
 
 
 def power_weight(c):
