@@ -147,6 +147,14 @@ def _piece_nodes(a, w, mid, half, affine):
     return a + w[:, None] * t * t * (3.0 - 2.0 * t), t
 
 
+def _start_parts(limit):
+    """The equal subintervals in t that each piece of an analytic integrand
+    starts as, for the forward operators of both modes: 4, so that one round
+    of qk21 mostly meets the tolerance, or the whole piece where the
+    subinterval limit is below 4."""
+    return 4 if limit >= 4 else 1
+
+
 def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
                    affine=False, first=None):
     """Adaptive qk21 quadrature of n integrals at once: (values, errors).
@@ -165,7 +173,8 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     _GK_CHUNK per call of ``fn``); each integral whose estimate exceeds
     max(epsabs, epsrel*|value|) bisects its largest-error subinterval, as
     QUADPACK does, while it holds fewer than ``limit`` (scalar or per
-    integral).  The caller checks the result.
+    integral); the subintervals are counted only once a round's bound on
+    them reaches the least limit.  The caller checks the result.
 
     ``first`` = (k, read) gives the first round the node values of the
     pieces k onward, bounded and whole (``affine``, parts == 1): read(j) is
@@ -211,6 +220,8 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         return _qk21(f, scale)
 
     def evaluate(piece, lo, hi, skip=owner.size):
+        if 0 < piece.size <= _GK_CHUNK:
+            return rule(piece, lo, hi, skip)
         out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK], skip)
                for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
         return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
@@ -220,33 +231,39 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     hi = lo + 1.0 / parts
     error = np.zeros(n)
     val, err = evaluate(piece, lo, hi, skip)
+    # a bound on the subintervals of one integral, one more each round: while
+    # it is below every limit, no integral can have reached its own
+    most, least = piece.size, np.min(limit) if piece.size else 0
     while piece.size:
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
         etotal = np.bincount(point, weights=err, minlength=n)
-        short = ((etotal > np.maximum(epsabs, epsrel * np.abs(total)))
-                 & (np.bincount(point, minlength=n) < limit))
+        short = etotal > np.maximum(epsabs, epsrel * np.abs(total))
+        if most >= least:
+            short &= np.bincount(point, minlength=n) < limit
         if not short.any():
             return total, error + etotal
+        most += 1
         # each integral's largest-error subinterval leads its run in this order
         order = np.lexsort((-err, point))
         ranked = point[order]
         lead = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-        mid = 0.5 * (lo + hi)
+        a, b = lo[lead], hi[lead]
+        mid = 0.5 * (a + b)
         # QUADPACK's test for a subinterval too small to split
-        splittable = (np.maximum(np.abs(lo), np.abs(hi))
-                      > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
-        split = lead[short[point[lead]] & splittable[lead]]
+        cut = short[point[lead]] & (np.maximum(np.abs(a), np.abs(b))
+                                     > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
+        split, a, b, mid = lead[cut], a[cut], b[cut], mid[cut]
         done = np.ones(n, dtype=bool)
         done[point[split]] = False
         done = done[point]
-        value += np.bincount(point[done], weights=val[done], minlength=n)
-        error += np.bincount(point[done], weights=err[done], minlength=n)
+        if done.any():
+            value += np.bincount(point[done], weights=val[done], minlength=n)
+            error += np.bincount(point[done], weights=err[done], minlength=n)
         stay = ~done
         stay[split] = False
         new_piece = np.concatenate([piece[split], piece[split]])
-        new_lo = np.concatenate([lo[split], mid[split]])
-        new_hi = np.concatenate([mid[split], hi[split]])
+        new_lo, new_hi = np.concatenate([a, mid]), np.concatenate([mid, b])
         new_val, new_err = evaluate(new_piece, new_lo, new_hi)
         piece = np.concatenate([piece[stay], new_piece])
         lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
@@ -314,12 +331,11 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
 
     As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
     max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
-    With at most 2 knots (so at most 3 pieces a point) and cfg.limit >= 4,
-    every piece starts as 4 subintervals, so that a smooth analytic
-    integrand mostly converges in the first round; an ``affine`` integrand,
-    whose polynomial pieces converge whole, and a call with more knots
-    start from whole pieces.  The pieces and their start depend on the
-    call's knots and the point alone.
+    With at most 2 knots (so at most 3 pieces a point), every piece starts
+    as _start_parts(cfg.limit) subintervals, the start of the mixture form
+    too; an ``affine`` integrand, whose polynomial pieces converge whole,
+    and a call with more knots start from whole pieces.  The pieces and
+    their start depend on the call's knots and the point alone.
     """
     knots = np.unique(np.asarray(knots, dtype=float))
     ends = np.append(knots[knots < upper], upper)
@@ -381,7 +397,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
 
     count = np.bincount(owner, minlength=x.size)
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
-    parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
+    parts = _start_parts(cfg.limit) if not affine and knots.size <= 2 else 1
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
                               parts=parts, affine=affine and beta <= 1.0, first=first)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)

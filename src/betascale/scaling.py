@@ -25,7 +25,7 @@ from scipy import special as sc
 from .distributions import Distribution, TabulatedCdf
 from .errors import DomainError, NumericError, StageError, parse_number
 from .fractional import (QuadratureConfig, _gauss_kronrod, _law_integral, _quad_on_access,
-                         _stieltjes, power_weight)
+                         _start_parts, _stieltjes, power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -115,9 +115,10 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     All points go through one call of fractional._gauss_kronrod at cfg's
     own tolerances, whose end-flat map of the piece absorbs the
     inverse-square-root singularity a density can leave at a piece end
-    (Beta(1.5, .5) at r_H); each piece starts as its two halves (one when
-    cfg.limit < 6).  The first failure of cfg.check_points in grid order
-    names ``what`` and x.
+    (Beta(1.5, .5) at r_H); each piece starts as the
+    fractional._start_parts(cfg.limit) subintervals of weyl mode's analytic
+    pieces.  The first failure of cfg.check_points in grid order names
+    ``what`` and x.
     """
     n = x.size
     b_lo = x / H.upper if math.isfinite(H.upper) else np.zeros(n)
@@ -139,13 +140,16 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
         with np.errstate(divide="ignore", over="ignore"):
             y = x[owner[piece]][:, None] / bb
         finite = np.isfinite(y)
-        vals = np.asarray(law(np.where(finite, y, 1.0).ravel()), dtype=float).reshape(y.shape)
+        whole = finite.all()
+        if not whole:
+            y, bb = np.where(finite, y, 1.0), np.where(finite, bb, 1.0)
+        vals = np.asarray(law(y.ravel()), dtype=float).reshape(y.shape)
         if kind == "pdf":
-            vals = vals / np.where(finite, bb, 1.0)
-        return np.where(finite, vals, empty) * weight
+            vals = vals / bb
+        return (vals if whole else np.where(finite, vals, empty)) * weight
 
     value, error = _gauss_kronrod(integrand, owner, s_lo[owner], s_hi[owner], n, cfg.atol,
-                                  cfg.rtol, cfg.limit, value, parts=2 if cfg.limit >= 6 else 1)
+                                  cfg.rtol, cfg.limit, value, parts=_start_parts(cfg.limit))
     cfg.check_points(x, value, error, what or (
         "mixture density quadrature" if kind == "pdf" else "mixture quadrature"))
     return value

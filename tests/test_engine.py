@@ -22,10 +22,10 @@ import betascale.elliptical as elliptical
 import betascale.fractional as fractional
 import betascale.scaling as scaling
 from betascale import (Beta, DomainError, EllipticalModel, Exponential, Gamma, IterationPlan,
-                       Pareto, PointMass, Rayleigh, Uniform, conditional_density_point,
-                       conditional_sf_exceed, corollary_check, forward_cdf, forward_pdf,
-                       forward_sf, forward_tabulated, invert_iterative, invert_onestep,
-                       invert_step, power_weight, weyl_integral, weyl_stieltjes)
+                       NumericError, Pareto, PointMass, QuadratureConfig, Rayleigh, Uniform,
+                       conditional_density_point, conditional_sf_exceed, corollary_check,
+                       forward_cdf, forward_pdf, forward_sf, forward_tabulated, invert_iterative,
+                       invert_onestep, invert_step, power_weight, weyl_integral, weyl_stieltjes)
 from betascale.cli import main
 from betascale.scaling import _full_step
 
@@ -179,34 +179,44 @@ def test_qk21_row_does_not_depend_on_its_batch(m):
 # ---------------------------------------------------------------------------
 # the engine's starting subdivision
 
-# single weyl points whose engine rounds are counted, here and in CI:
-# three quantiles of each law, cdf, sf and pdf
+# single points whose engine rounds are counted, here and in CI: three
+# quantiles of each law, cdf, sf and pdf
 ROUND_LAWS = [(Exponential(1.0), 0.6, 0.4), (Gamma(2.5, 1.5), 2.0, 0.5),
               (Rayleigh(1.0), 2.0, 0.7), (Pareto(2.0, 1.0), 2.0, 0.7),
               (Uniform(0.0, 1.0), 2.0, 0.7), (Beta(2.0, 2.0), 1.5, 0.5)]
 
 
-def evaluate_single_weyl_points():
-    """Evaluate each ROUND_LAWS point alone in weyl mode; returns their number."""
+def evaluate_single_weyl_points(mode="weyl"):
+    """Evaluate each ROUND_LAWS point alone in ``mode``; returns their number."""
     n = 0
     for H, alpha, beta in ROUND_LAWS:
         for q in (0.1, 0.5, 0.9):
             x = float(H.quantile(q))
             for fn in (forward_cdf, forward_sf, forward_pdf):
-                assert math.isfinite(fn(H, alpha, beta, x, mode="weyl"))
+                assert math.isfinite(fn(H, alpha, beta, x, mode=mode))
                 n += 1
     return n
 
 
-def test_single_weyl_points_take_few_engine_rounds(monkeypatch):
-    # one qk21 call per round: a round of _GK_CHUNK rows or more would be cut
-    # into calls of which the first has exactly _GK_CHUNK rows
+def engine_rounds_per_point(monkeypatch, mode):
+    """qk21 calls per ROUND_LAWS point in ``mode``, one call per round: a
+    round of _GK_CHUNK rows or more would be cut into calls of which the
+    first has exactly _GK_CHUNK rows."""
     calls = []
     qk21 = fractional._qk21
     monkeypatch.setattr(fractional, "_qk21", lambda f, half: calls.append(len(f)) or qk21(f, half))
-    n = evaluate_single_weyl_points()
+    n = evaluate_single_weyl_points(mode)
     assert max(calls) < fractional._GK_CHUNK
-    assert len(calls) / n <= 2.0
+    return len(calls) / n
+
+
+def test_single_weyl_points_take_few_engine_rounds(monkeypatch):
+    assert engine_rounds_per_point(monkeypatch, "weyl") <= 2.0
+
+
+def test_single_mixture_points_take_few_engine_rounds(monkeypatch):
+    # the one start rule of both modes: 2.02 rounds a point from two halves
+    assert engine_rounds_per_point(monkeypatch, "mixture") <= 1.5
 
 
 def test_tabulated_stage_starts_from_whole_pieces(monkeypatch):
@@ -231,6 +241,178 @@ def test_tabulated_stage_starts_from_whole_pieces(monkeypatch):
     assert parts == 1
     # the first round is every piece once, in order; a bisection follows it
     assert np.concatenate(rows)[:pieces].tolist() == list(range(pieces))
+
+
+# ---------------------------------------------------------------------------
+# the engine's round loop against its frozen unpruned form
+
+def unpruned_gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
+                           affine=False, first=None):
+    """fractional._gauss_kronrod before its rounds were pruned: every round
+    concatenates its chunks' results, tests every subinterval for a split
+    and takes its midpoint, adds the retired integrals' sums and counts
+    each integral's subintervals against its limit."""
+    _GK_X, _GK_CHUNK, _EPS, _TINY = (fractional._GK_X, fractional._GK_CHUNK, fractional._EPS,
+                                     fractional._TINY)
+    value = np.zeros(n) if value is None else value
+    start, width, tail = lo, hi - lo, np.isinf(hi)
+    skip, read = first or (owner.size, None)
+
+    def mapped(j, mid, half, kind):
+        if kind == 2:
+            return read(j), width[j] * half
+        if kind == 1:
+            t = mid[:, None] + half[:, None] * _GK_X
+            r = (1.0 - t) / t
+            return fn(j, start[j][:, None] + r * r) * 2.0 * r / (t * t), half
+        w = width[j]
+        y, t = fractional._piece_nodes(start[j], w, mid, half, affine)
+        if affine:
+            return fn(j, y), w * half
+        w = w[:, None]
+        return fn(j, y) * 6.0 * w * t * (1.0 - t), half
+
+    def rule(piece, lo, hi, skip):
+        mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
+        if piece[-1] < skip:
+            if not infinite.any() or infinite.all():
+                return fractional._qk21(*mapped(piece, mid, half, int(infinite[0])))
+            kinds = (~infinite, 0), (infinite, 1)
+        elif piece[0] >= skip:
+            return fractional._qk21(*mapped(piece, mid, half, 2))
+        else:
+            tabled = piece >= skip
+            kinds = [(rows, kind) for rows, kind in
+                     ((~(infinite | tabled), 0), (infinite, 1), (tabled, 2)) if rows.any()]
+        f, scale = np.empty((piece.size, _GK_X.size)), np.empty(piece.size)
+        for rows, kind in kinds:
+            f[rows], scale[rows] = mapped(piece[rows], mid[rows], half[rows], kind)
+        return fractional._qk21(f, scale)
+
+    def evaluate(piece, lo, hi, skip=owner.size):
+        out = [rule(piece[i:i + _GK_CHUNK], lo[i:i + _GK_CHUNK], hi[i:i + _GK_CHUNK], skip)
+               for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
+        return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
+
+    piece = np.repeat(np.arange(owner.size), parts)
+    lo = np.tile(np.arange(parts) / parts, owner.size)
+    hi = lo + 1.0 / parts
+    error = np.zeros(n)
+    val, err = evaluate(piece, lo, hi, skip)
+    while piece.size:
+        point = owner[piece]
+        total = value + np.bincount(point, weights=val, minlength=n)
+        etotal = np.bincount(point, weights=err, minlength=n)
+        short = ((etotal > np.maximum(epsabs, epsrel * np.abs(total)))
+                 & (np.bincount(point, minlength=n) < limit))
+        if not short.any():
+            return total, error + etotal
+        order = np.lexsort((-err, point))
+        ranked = point[order]
+        lead = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        mid = 0.5 * (lo + hi)
+        splittable = (np.maximum(np.abs(lo), np.abs(hi))
+                      > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
+        split = lead[short[point[lead]] & splittable[lead]]
+        done = np.ones(n, dtype=bool)
+        done[point[split]] = False
+        done = done[point]
+        value += np.bincount(point[done], weights=val[done], minlength=n)
+        error += np.bincount(point[done], weights=err[done], minlength=n)
+        stay = ~done
+        stay[split] = False
+        new_piece = np.concatenate([piece[split], piece[split]])
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_val, new_err = evaluate(new_piece, new_lo, new_hi)
+        piece = np.concatenate([piece[stay], new_piece])
+        lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
+        val, err = np.concatenate([val[stay], new_val]), np.concatenate([err[stay], new_err])
+    return value, error
+
+
+def engine_results(monkeypatch, engine, call, parts=None):
+    """The bytes of (values, errors) of every engine run that call() makes
+    with ``engine`` in the library's place, each run's ``parts`` forced to
+    ``parts`` unless None, and the bytes of call()'s result or the message
+    of the NumericError it raises."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        if parts is not None:
+            kwargs["parts"] = parts
+        val, err = engine(*args, **kwargs)
+        runs.append((val.tobytes(), err.tobytes()))
+        return val, err
+
+    with monkeypatch.context() as m:
+        for module in (fractional, scaling, elliptical):
+            m.setattr(module, "_gauss_kronrod", spy)
+        try:
+            out = call()
+        except NumericError as exc:
+            out = str(exc)
+    if hasattr(out, "values"):  # a TabulatedCdf
+        out = out.values
+    return runs, out if isinstance(out, str) else np.asarray(out).tobytes()
+
+
+def assert_same_engine_runs(monkeypatch, call, parts=None):
+    library = engine_results(monkeypatch, fractional._gauss_kronrod, call, parts)
+    frozen = engine_results(monkeypatch, unpruned_gauss_kronrod, call, parts)
+    assert library[0], "no engine run"
+    assert library == frozen
+
+
+_WEYL_XS = np.array([0.05, 0.3, 0.9, 1.7, 4.0])
+
+
+@pytest.mark.parametrize("mode", ["weyl", "mixture"])
+def test_pruned_rounds_are_bit_identical_on_forward_points(monkeypatch, mode):
+    for H, alpha, beta in ROUND_LAWS:
+        for fn in (forward_cdf, forward_sf, forward_pdf):
+            x = float(H.quantile(0.5))
+            assert_same_engine_runs(monkeypatch, lambda: fn(H, alpha, beta, x, mode=mode))
+            assert_same_engine_runs(monkeypatch, lambda: fn(H, alpha, beta, _WEYL_XS, mode=mode))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 4])
+def test_pruned_rounds_are_bit_identical_on_mixture_calls_at_fixed_parts(monkeypatch, parts):
+    # a tight tolerance and small limits make integrals stop at their limit,
+    # a single point in the round its subintervals reach it, and several
+    # points while others in the same call retire or split
+    for cfg in (None, QuadratureConfig(atol=1e-14, rtol=1e-12, limit=7),
+                QuadratureConfig(limit=3)):
+        for H in (Beta(1.5, 0.5), Pareto(2.0, 1.0), Gamma(2.5, 1.5)):
+            for fn in (forward_cdf, forward_pdf):
+                for x in (_WEYL_XS, 0.93):
+                    assert_same_engine_runs(
+                        monkeypatch, lambda: fn(H, 1.0, 1.6, x, mode="mixture", cfg=cfg),
+                        parts=parts)
+
+
+def test_pruned_rounds_are_bit_identical_on_weyl_calls_with_points(monkeypatch):
+    h = lambda y: (1.0 if y <= 1.5 else 0.25) / (1.0 + y * y)
+    for beta in (0.3, 1.0, 1.7):
+        assert_same_engine_runs(monkeypatch, lambda: weyl_integral(h, beta, 0.6,
+                                                                   points=[1.5, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("beta,plan", [(0.5, [0.5]), (1.6, [1.6, 0.8])])
+def test_pruned_rounds_are_bit_identical_on_tabulated_stages(monkeypatch, beta, plan):
+    # stages of delta < 1 read their far pieces straight from the gap table
+    F = forward_tabulated(Exponential(1.0), 1.0, beta, n_points=60)
+    grid = np.geomspace(1e-2, 3.0, 15)
+    assert_same_engine_runs(monkeypatch, lambda: invert_iterative(F, 1.0, IterationPlan(plan),
+                                                                  grid))
+    assert_same_engine_runs(monkeypatch, lambda: forward_pdf(F, 1.5, 0.3, grid))
+
+
+def test_pruned_rounds_are_bit_identical_on_conditional_quadrature(monkeypatch):
+    for m in (EllipticalModel(0.5, Rayleigh(1.0)), EllipticalModel(-0.3, Uniform(0.0, 2.0))):
+        for x, y in ((0.5, 0.2), (1.2, -0.4), (1.8, 1.0)):
+            assert_same_engine_runs(
+                monkeypatch, lambda: conditional_sf_exceed(m, x, y, method="quadrature"))
 
 
 # ---------------------------------------------------------------------------
