@@ -18,7 +18,7 @@ from scipy import special as sc
 
 from .distributions import Distribution, PointMass, make_rng
 from .errors import DomainError, NoDensityError, NumericError
-from .fractional import QuadratureConfig, _gauss_kronrod, _quad_on_access, measure_knots
+from .fractional import _RELATIVE_CFG, _gauss_kronrod, _quad_on_access, measure_knots
 
 __all__ = [
     "EllipticalModel",
@@ -112,7 +112,7 @@ def conditional_density_point(m: EllipticalModel, x, t, w=None, cfg=None):
         raise DomainError("conditioning level must be positive and finite")
     if isinstance(m.radial, PointMass):
         raise NoDensityError("point-mass radial has no conditional density")
-    cfg = cfg or QuadratureConfig(atol=1e-300, rtol=1e-9)
+    cfg = cfg or _RELATIVE_CFG
     w = w or m.scaling_w()
     s = x * x
     c2 = float(w(x)) / x          # c(x)**2 with c(x) = sqrt(w(x)/x)
@@ -211,7 +211,7 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
 def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
     """Monte Carlo estimate; switches to radius-importance sampling when the
     conditioning probability is too small for plain rejection."""
-    p_exceed = (_arc_mass(m, x, QuadratureConfig(atol=1e-300, rtol=1e-9)) or 0.0) / (2.0 * math.pi)
+    p_exceed = (_arc_mass(m, x, _RELATIVE_CFG) or 0.0) / (2.0 * math.pi)
     if p_exceed >= 1e-4:
         pairs = sample_elliptical(m, n, seed)
         keep = pairs[:, 0] > x
@@ -241,7 +241,7 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("conditioning level and threshold must be finite")
-    cfg = cfg or QuadratureConfig(atol=1e-300, rtol=1e-9)
+    cfg = cfg or _RELATIVE_CFG
     if method == "quadrature":
         return _exceed_quadrature(m, x, y, cfg)
     if method == "montecarlo":

@@ -90,6 +90,11 @@ class QuadratureConfig:
                 raise
 
 
+# for integrals whose values may be tiny, tail probabilities and conditioning
+# masses: an atol of 1e-300 leaves the tolerance relative, as rtol * |value|
+_RELATIVE_CFG = QuadratureConfig(atol=1e-300, rtol=1e-9)
+
+
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:
 # node, Kronrod weight, weight of the embedded 10-point Gauss rule
 _QK21 = np.array([

@@ -295,47 +295,17 @@ def _survivor(step, x):
     return float(out) if out.ndim == 0 else out
 
 
-def invert_onestep(F, alpha, beta, x, cfg=None, allow_higher_order=False):
+def invert_onestep(F, alpha, beta, x, cfg=None):
     """Survivor of Y at x when F is the law of B_{alpha,beta} * Y, beta <= 1.
 
     x may be a scalar or an array (a float or an array of its shape comes
-    back); the survivor is 1.0 where x <= 0.  For beta > 1 the explicit
-    formula needs an order-n derivative of noisy data; it is available
-    behind ``allow_higher_order`` with central differencing, but the
-    chained route (invert_iterative) is preferred.
+    back); the survivor is 1.0 where x <= 0.  This is invert_step with
+    lam = beta.  A beta above 1 raises DomainError: it takes steps of at
+    most one unit, which invert_iterative runs along an IterationPlan.
     """
-    p = _params(alpha, beta)
-    cfg = cfg or QuadratureConfig()
-    if p.beta <= 1.0:
-        return _survivor(lambda xs: _full_step(F, p.alpha, p.beta, xs, cfg), x)
-    if not allow_higher_order:
-        raise DomainError("beta > 1 requires invert_iterative "
-                          "(or pass allow_higher_order=True)")
-    return _survivor(lambda xs: _invert_higher_order(F, p.alpha, p.beta, xs, cfg), x)
-
-
-def _invert_higher_order(F, alpha, beta, x, cfg):
-    """(-1)**n * Gamma(a)/Gamma(a+b) * x**(a+b) * (I_delta D^n p_{-a} sf_F)(x)
-    at every point of the 1-D array x, with D^n g(y) by central differences
-    of step n * max(1e-5, 1e-5 * y), capped at y / n so that every node
-    y + (n/2 - k) * h stays at or above y / 2 > 0."""
-    n = int(beta) if float(beta).is_integer() else int(math.floor(beta)) + 1
-    delta = n - beta
-    coeffs = [(-1.0) ** k * math.comb(n, k) for k in range(n + 1)]
-
-    def dng(y):
-        h = np.minimum(n * np.maximum(1e-5, 1e-5 * y), y / n)
-        return sum(c * (y + (n / 2.0 - k) * h) ** (-alpha)
-                   * np.asarray(F.sf(y + (n / 2.0 - k) * h), dtype=float)
-                   for k, c in enumerate(coeffs)) / h ** n
-
-    if delta == 0.0:
-        val = dng(x)
-    else:
-        val = _law_integral(dng, F, delta, x, F.upper, cfg, f"weyl_integral(beta={delta})")
-    val = val * (-1.0) ** n * math.exp(sc.gammaln(alpha) - sc.gammaln(alpha + beta)) \
-        * x ** (alpha + beta)
-    return np.clip(val, 0.0, 1.0)
+    if _params(alpha, beta).beta > 1.0:
+        raise DomainError("beta > 1 takes more than one step: use invert_iterative")
+    return invert_step(F, alpha, beta, beta, x, cfg)
 
 
 def invert_step(F, alpha, lam, beta, x, cfg=None):
@@ -468,23 +438,42 @@ def corollary_check(H, alpha, beta, x, cfg=None):
     return float(_weyl(H, p, np.array([x]), "pdf", cfg)[0]), float((above - below) / (2.0 * step))
 
 
+def _merge_links(pairs):
+    """pairs after merging two links (a, b) and (a + b, c) into (a, b + c),
+    the first matching pair in list order at a time, while any two match to
+    1e-12 relative, the slack of IterationPlan's steps.  B_{a,b} * B_{a+b,c}
+    has the law of B_{a,b+c} (Jambunathan, 1954); the product commutes, so
+    the two need not be adjacent."""
+    pairs = list(pairs)
+    while True:
+        match = next(((i, j) for i, (a, b) in enumerate(pairs) for j, (c, _) in enumerate(pairs)
+                      if i != j and math.isclose(a + b, c, rel_tol=1e-12)), None)
+        if match is None:
+            return pairs
+        i, j = match
+        pairs[i] = (pairs[i][0], pairs[i][1] + pairs[j][1])
+        del pairs[j]
+
+
 def chain_forward(H, params, x, cfg=None):
     """CDF at x (a scalar or an array) after applying a sequence of
     independent beta multipliers.
 
     Each entry of ``params`` is a ScalingParams or an (alpha, beta) pair;
-    the empty chain returns H(x).  Evaluation nests the mixture engine
-    functionally, with no intermediate tabulation: level k is the mixture
-    over the k-th multiplier of level k - 1, whose CDF at all nodes of a
-    round is one call of the engine.  Every level checks its points against
-    cfg, so a miss raises NumericError naming the level and the point.
+    the empty chain returns H(x).  Links that compose are merged first
+    (_merge_links), so a chain that composes to one multiplier costs one
+    call of the mixture engine.  The links left nest the engine with no
+    intermediate tabulation: level k is the mixture over the k-th of them
+    of level k - 1, whose CDF at all nodes of a round is one call of the
+    engine.  Every level checks its points against cfg, so a miss raises
+    NumericError naming the level, counted after merging, and the point.
     """
-    x = _points(x)
+    x = _check_forward_args(H, x)
     cfg = cfg or QuadratureConfig(atol=1e-11, rtol=1e-10)
     pairs = [(p.alpha, p.beta) if isinstance(p, ScalingParams)
              else (_params(*p).alpha, _params(*p).beta) for p in params]
     law = H
-    for level, (a, b) in enumerate(pairs, start=1):
+    for level, (a, b) in enumerate(_merge_links(pairs), start=1):
         law = _Chained(law, a, b, cfg, f"chain_forward level {level}")
     out = np.clip(law.cdf(x), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

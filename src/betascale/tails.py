@@ -22,7 +22,7 @@ from scipy import special as sc
 
 from .distributions import ScalingFunction, beta_moment
 from .errors import DomainError, NumericError
-from .fractional import QuadratureConfig
+from .fractional import _RELATIVE_CFG
 from .scaling import forward_pdf, forward_sf
 
 __all__ = [
@@ -52,10 +52,6 @@ class TailPrediction:
         if self.prediction == 0.0:
             return math.inf if self.direct > 0 else math.nan
         return self.direct / self.prediction
-
-
-# tail values are tiny; accuracy must be relative, not absolute
-_TAIL_CFG = QuadratureConfig(atol=1e-300, rtol=1e-9)
 
 
 def _lngamma_ratio(num, den):
@@ -92,7 +88,7 @@ def _prediction(H, alpha, beta, x, cfg, label):
     else:
         K = _lngamma_ratio([alpha + beta, m.gamma + 1.0], [alpha, m.gamma + beta + 1.0])
         shape, pred = "x**beta * sf(r_H*(1-x))", K * x ** beta * sf
-    direct = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg or _TAIL_CFG)
+    direct = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg or _RELATIVE_CFG)
     if pred == 0.0 and direct == 0.0:
         raise NumericError(f"predict_{label}: the asymptote and the direct survivor both "
                            f"underflow at x = {x!r}, so their ratio is undefined", x=x)
@@ -126,7 +122,7 @@ def density_ratio(H, alpha, beta, x, mode, cfg=None):
     weibull: x * h(1-x) / sf(1-x)         -> beta + gamma   (x below r_H = 1)
     """
     m = _classed(H, mode, "density_ratio")
-    cfg = cfg or _TAIL_CFG
+    cfg = cfg or _RELATIVE_CFG
     point = _point(m, x)
     pdf = forward_pdf(H, alpha, beta, point, mode="mixture", cfg=cfg)
     sf = forward_sf(H, alpha, beta, point, mode="mixture", cfg=cfg)

@@ -3,16 +3,19 @@ the nested chain of mixtures, and the one-lookup (sf, pdf) of a tabulated
 law that an inversion stage integrates."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sc
 
-from betascale import (Beta, Distribution, Exponential, Gamma, NumericError, Pareto,
+import betascale.fractional as fr
+import betascale.scaling as scaling
+from betascale import (Beta, DomainError, Distribution, Exponential, Gamma, NumericError, Pareto,
                        PointMass, QuadratureConfig, Uniform, chain_forward, forward_cdf,
                        forward_pdf, forward_sf, forward_tabulated)
-from betascale.scaling import _mixture, _node_map
+from betascale.scaling import _merge_links, _mixture, _node_map
 
 GRID = (0.3, 1.0, 2.0, 4.5)
 
@@ -149,6 +152,63 @@ def test_chain_bounded_law():
     assert chain_forward(Uniform(0.0, 1.0), [(1.0, 1.0), (2.0, 0.5)], 1.0) == 1.0
     one = chain_forward(Uniform(0.0, 1.0), [(2.0, 0.7)], 0.3)
     assert one == pytest.approx(forward_cdf(Uniform(0.0, 1.0), 2.0, 0.7, 0.3), abs=1e-10)
+
+
+def test_links_merge_in_list_order_within_the_plan_slack():
+    # 0.1 + 0.2 misses 0.3 by one ulp, inside the 1e-12 relative slack
+    assert _merge_links([(0.3, 0.5), (0.1, 0.2)]) == [(0.1, 0.2 + 0.5)]
+    far = [(0.3 * (1.0 + 1e-9), 0.5), (0.1, 0.2)]
+    assert _merge_links(far) == far
+    # links need not be adjacent, and merged links merge again
+    assert _merge_links([(1.0, 1.0), (5.0, 1.0), (2.0, 3.0)]) == [(1.0, 5.0)]
+    # (1, 1) matches both links at 2: the first in list order takes it
+    assert _merge_links([(2.0, 0.5), (1.0, 1.0), (2.0, 1.0)]) == [(1.0, 1.5), (2.0, 1.0)]
+
+
+def test_chain_rejects_a_law_below_zero():
+    with pytest.raises(DomainError, match=r"^beta scaling requires a law on \[0, inf\)$"):
+        chain_forward(Uniform(-1.0, 1.0), [(1.0, 1.0)], 0.5)
+
+
+def test_chain_rejects_what_is_not_a_distribution():
+    for params in ([(1.0, 1.0)], []):
+        with pytest.raises(DomainError, match="^H must be a distribution$"):
+            chain_forward(lambda y: y, params, 0.5)
+
+
+# a chain whose links compose to one multiplier, and one whose links do not
+CHAIN_REPORT = (("compose to one", [(2.0, 0.7), (2.7, 0.4), (3.1, 0.5)]),
+                ("do not compose", [(1.0, 0.5), (2.0, 0.7)]))
+
+
+def chain_report(H=Pareto(2.0, 1.0), x=0.4):
+    """(label, links, ms, qk21 calls) of chain_forward(H, links, x) for each
+    chain of CHAIN_REPORT; one qk21 call is one round of the engine."""
+    calls, qk21 = [], fr._qk21
+    fr._qk21 = lambda f, half: calls.append(1) or qk21(f, half)
+    try:
+        report = []
+        for label, links in CHAIN_REPORT:
+            calls.clear()
+            start = time.perf_counter()
+            chain_forward(H, links, x)
+            report.append((label, links, (time.perf_counter() - start) * 1e3, len(calls)))
+        return report
+    finally:
+        fr._qk21 = qk21
+
+
+def test_composing_chain_costs_one_engine_call(monkeypatch):
+    # B_{2,.7} * B_{2.7,.4} * B_{3.1,.5} is B_{2,1.6}: one run of the engine
+    calls, engine = [], scaling._gauss_kronrod
+    monkeypatch.setattr(scaling, "_gauss_kronrod",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    H, x = Pareto(2.0, 1.0), 0.4
+    value = chain_forward(H, CHAIN_REPORT[0][1], x)
+    assert len(calls) == 1
+    assert value == pytest.approx(forward_cdf(H, 2.0, 1.6, x, mode="mixture",
+                                              cfg=QuadratureConfig(atol=1e-11, rtol=1e-10)),
+                                  rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

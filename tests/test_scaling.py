@@ -149,19 +149,11 @@ def test_invert_onestep_product_of_uniforms():
     assert invert_onestep(F, 1.0, 1.0, 0.3) == pytest.approx(0.7, abs=1e-3)
 
 
-def test_invert_onestep_beta_recovers_pointmass():
-    F = Beta(2.0, 2.0)
-    for x in (0.2, 0.5, 0.8):
-        assert invert_onestep(F, 2.0, 2.0, x, allow_higher_order=True) == pytest.approx(1.0, abs=1e-4)
-
-
-@pytest.mark.parametrize("F,alpha,beta", [(Beta(2.0, 2.0), 2.0, 1.5),
-                                          (Exponential(1.0), 1.0, 2.0)])
-def test_invert_higher_order_below_the_default_step(F, alpha, beta):
-    # Y's survivor tends to 1 at 0; no difference node may reach y <= 0
-    for x in (1e-5, 1e-6):
-        val = invert_onestep(F, alpha, beta, x, allow_higher_order=True)
-        assert val == pytest.approx(1.0, abs=1e-6)
+def test_invert_iterative_recovers_pointmass():
+    # Beta(2, 2) is B_{2,2} * 1: two steps of one unit leave the point mass at 1
+    xs = np.linspace(0.05, 0.95, 19)
+    rec = invert_iterative(Beta(2.0, 2.0), 2.0, IterationPlan.default_for(2.0), xs)
+    assert np.max(np.abs(rec.sf(xs) - 1.0)) <= 1e-3
 
 
 @pytest.mark.parametrize("alpha,lam", [(0.7, 0.4), (2.0, 0.75), (1.3, 1.0)])
@@ -182,8 +174,8 @@ def test_invert_onestep_uniform_half():
     assert val == pytest.approx(Beta(1.5, 0.5).sf(0.5), abs=1e-6)
 
 
-def test_invert_onestep_needs_flag_above_one():
-    with pytest.raises(DomainError):
+def test_invert_onestep_rejects_beta_above_one():
+    with pytest.raises(DomainError, match="invert_iterative"):
         invert_onestep(Uniform(0.0, 1.0), 1.0, 1.7, 0.5)
 
 
