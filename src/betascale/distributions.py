@@ -707,7 +707,12 @@ class TabulatedCdf(Distribution):
         sums it, equals u, and the number of rounds taken.
 
         Safeguarded Newton on all points at once, from linear interpolation
-        between the piece's knots.  Each round evaluates the cubic and its
+        between the piece's knots.  On a piece whose slope a1 at its left knot
+        is 0 it starts from the larger of that and the root of the leading
+        term a2 s**2 (a3 s**3 where a2 is 0 too), clipped into [0, h]: near
+        such a double or triple root the linear start lies far below the
+        root, and Newton from there overshoots the bracket, which then halves
+        one bit a round.  Each round evaluates the cubic and its
         derivative at s and moves the bracket [lo, hi] (initially [0, h]) to
         s by the sign of cdf - u.  A step within 4 ulp of the current
         x = knot + s ends the point at s - step clipped into the bracket,
@@ -722,6 +727,12 @@ class TabulatedCdf(Distribution):
         live = np.arange(s.size)
         rounds = 0
         with np.errstate(divide="ignore", invalid="ignore"):
+            a0, a1, a2, a3 = (p[:, c] for c in _CDF)
+            flat = a1 == 0.0
+            if flat.any():
+                flat &= (a2 > 0.0) | ((a2 == 0.0) & (a3 > 0.0))
+                lead = np.where(a2 > 0.0, np.sqrt((u - a0) / a2), np.cbrt((u - a0) / a3))
+                s = np.where(flat, np.clip(np.maximum(lead, s), lo, hi), s)
             while live.size:
                 rounds += 1
                 f = _power_sum(s, *(p[:, c] for c in _CDF)) - u

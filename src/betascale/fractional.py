@@ -81,8 +81,8 @@ class QuadratureConfig:
         """Check the integrals named ``what`` at the points of ``x`` (a scalar
         or 1-D array) in order, each through ``check`` as "<what> at x=<x>";
         the first failure raises its NumericError with that point as ``x``."""
-        for xi, v, e in zip(np.ravel(x).tolist(), np.ravel(value).tolist(),
-                            np.ravel(err).tolist()):
+        for xi, v, e in zip(np.asarray(x).ravel().tolist(), np.asarray(value).ravel().tolist(),
+                            np.asarray(err).ravel().tolist()):
             try:
                 self.check(v, e, f"{what} at x={xi}")
             except NumericError as exc:
@@ -118,8 +118,16 @@ _GK_X, _GK_WK, _GK_WG = np.concatenate([_QK21 * (-1.0, 1.0, 1.0), _QK21[-2::-1]]
 _GK_CHUNK = 320
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# QUADPACK's round-off floor 50*eps*resabs, which applies above resabs = _UFLOW
+_ROUNDOFF = 50.0 * _EPS
+_UFLOW = _TINY / _ROUNDOFF
+# QUADPACK's bound below which a subinterval [a, b] is too small to split:
+# max(|a|, |b|) <= _SPLIT_REL * (|mid| + _SPLIT_ABS)
+_SPLIT_REL = 1.0 + 100.0 * _EPS
+_SPLIT_ABS = 1000.0 * _TINY
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _qk21(f, half):
     """qk21 on rows of node values ``f`` over intervals of half-length
     ``half`` > 0: (integrals, QUADPACK error estimates).  Each row is summed
@@ -127,16 +135,15 @@ def _qk21(f, half):
     # a non-finite node value gives a non-finite result, which the caller's
     # check reports; it needs no warning here.  einsum without ``optimize``
     # sums each row in its own loop, never through BLAS.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        resk = np.einsum("ij,j->i", f, _GK_WK)
-        resg = np.einsum("ij,j->i", f, _GK_WG)
-        resabs = np.einsum("ij,j->i", np.abs(f), _GK_WK) * half
-        resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]), _GK_WK) * half
-        err = np.abs(resk - resg) * half
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    resk = np.einsum("ij,j->i", f, _GK_WK)
+    resg = np.einsum("ij,j->i", f, _GK_WG)
+    resabs = np.einsum("ij,j->i", np.abs(f), _GK_WK) * half
+    resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]), _GK_WK) * half
+    err = np.abs(resk - resg) * half
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     # round-off floor
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    err = np.where(resabs > _UFLOW, np.maximum(_ROUNDOFF * resabs, err), err)
     return resk * half, err
 
 
@@ -188,6 +195,8 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     value = np.zeros(n) if value is None else value
     start, width, tail = lo, hi - lo, np.isinf(hi)
     skip, read = first or (owner.size, None)
+    # the kind of every piece, 0 bounded or 1 infinite, or None for a mix
+    only = 1 if tail.all() else None if tail.any() else 0
 
     def mapped(j, mid, half, kind):
         """(node values, half-lengths) of qk21 on the subintervals mid +- half
@@ -208,15 +217,18 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     def rule(piece, lo, hi, skip):
         """qk21 on the subintervals lo..hi in t of the pieces ``piece``, those
         from ``skip`` on read; the first round's pieces ascend."""
-        mid, half, infinite = 0.5 * (lo + hi), 0.5 * (hi - lo), tail[piece]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         if piece[-1] < skip:  # no row is read
+            if only is not None:
+                return _qk21(*mapped(piece, mid, half, only))
+            infinite = tail[piece]
             if not infinite.any() or infinite.all():
                 return _qk21(*mapped(piece, mid, half, int(infinite[0])))
             kinds = (~infinite, 0), (infinite, 1)
         elif piece[0] >= skip:
             return _qk21(*mapped(piece, mid, half, 2))
         else:
-            tabled = piece >= skip
+            infinite, tabled = tail[piece], piece >= skip
             kinds = [(rows, kind) for rows, kind in
                      ((~(infinite | tabled), 0), (infinite, 1), (tabled, 2)) if rows.any()]
         f, scale = np.empty((piece.size, _GK_X.size)), np.empty(piece.size)
@@ -231,14 +243,15 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
                for i in range(0, piece.size, _GK_CHUNK)] or [(np.empty(0), np.empty(0))]
         return np.concatenate([v for v, _ in out]), np.concatenate([e for _, e in out])
 
-    piece = np.repeat(np.arange(owner.size), parts)
-    lo = np.tile(np.arange(parts) / parts, owner.size)
+    # piece j starts as the subintervals [k, k + 1] / parts in t, k < parts
+    piece, k = np.divmod(np.arange(owner.size * parts), parts)
+    lo = k / parts
     hi = lo + 1.0 / parts
     error = np.zeros(n)
     val, err = evaluate(piece, lo, hi, skip)
     # a bound on the subintervals of one integral, one more each round: while
     # it is below every limit, no integral can have reached its own
-    most, least = piece.size, np.min(limit) if piece.size else 0
+    most, least = piece.size, np.minimum.reduce(limit, axis=None) if piece.size else 0
     while piece.size:
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
@@ -252,21 +265,27 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         # each integral's largest-error subinterval leads its run in this order
         order = np.lexsort((-err, point))
         ranked = point[order]
-        lead = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        head = np.empty(order.size, dtype=bool)
+        head[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        lead = order[head]
         a, b = lo[lead], hi[lead]
         mid = 0.5 * (a + b)
-        # QUADPACK's test for a subinterval too small to split
-        cut = short[point[lead]] & (np.maximum(np.abs(a), np.abs(b))
-                                     > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
+        # QUADPACK's test for a subinterval too small to split, for
+        # 0 <= a < b <= 1
+        cut = short[point[lead]] & (b > _SPLIT_REL * (mid + _SPLIT_ABS))
         split, a, b, mid = lead[cut], a[cut], b[cut], mid[cut]
-        done = np.ones(n, dtype=bool)
-        done[point[split]] = False
-        done = done[point]
-        if done.any():
+        # the subintervals of the integrals that go on, the split ones after
+        # this round
+        stay = np.zeros(n, dtype=bool)
+        stay[point[split]] = True
+        stay = stay[point]
+        if not stay.all():
+            done = ~stay
             value += np.bincount(point[done], weights=val[done], minlength=n)
             error += np.bincount(point[done], weights=err[done], minlength=n)
-        stay = ~done
         stay[split] = False
+        # the left halves of the split subintervals, then their right halves
         new_piece = np.concatenate([piece[split], piece[split]])
         new_lo, new_hi = np.concatenate([a, mid]), np.concatenate([mid, b])
         new_val, new_err = evaluate(new_piece, new_lo, new_hi)
@@ -276,18 +295,14 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     return value, error
 
 
-def _pieces(ends, x):
+def _pieces(bounds, x):
     """(owner, lo, hi, gap): the pieces in y of the points of the 1-D array x
-    in point order, one per gap between the increasing ``ends`` inside
-    (x, ends[-1]) (none where x >= ends[-1]); piece r lies in the gap from
-    ends[gap[r]] to ends[gap[r] + 1], -1 below ends[0]."""
-    first = np.searchsorted(ends[:-1], x, side="right")
-    count = np.where(x < ends[-1], ends.size - first, 0)
-    owner = np.repeat(np.arange(x.size), count)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    j = first[owner] + k
-    gap = j - 1
-    return owner, np.where(k == 0, x[owner], ends[np.maximum(gap, 0)]), ends[j], gap
+    in point order, one per gap between the increasing ``bounds`` that ends
+    above x (none where x >= bounds[-1]), from the larger of x and the gap's
+    lower end; bounds[0] is -inf.  Piece r lies in the gap from ends[gap[r]]
+    to ends[gap[r] + 1] of ends = bounds[1:], -1 below ends[0]."""
+    owner, j = (x[:, None] < bounds[1:]).nonzero()
+    return owner, np.maximum(x[owner], bounds[j]), bounds[j + 1], j - 1
 
 
 def power_weight(c):
@@ -342,9 +357,10 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     and a call with more knots start from whole pieces.  The pieces and
     their start depend on the call's knots and the point alone.
     """
-    knots = np.unique(np.asarray(knots, dtype=float))
-    ends = np.append(knots[knots < upper], upper)
-    owner, lo, hi, gap = _pieces(ends, x)
+    knots = set(map(float, knots))
+    bounds = np.array([-math.inf, *sorted(k for k in knots if k < upper), upper])
+    owner, lo, hi, gap = _pieces(bounds, x)
+    ends = bounds[1:]
     near = owner.size if beta < 1.0 else 0  # pieces [0, near) run in u
     if affine and beta < 1.0:
         far = lo - x[owner] >= hi - lo
@@ -354,9 +370,10 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         del far, order  # not held through the engine's run
     else:
         gap = np.empty(0, dtype=int)  # no piece reads the table
-    xo = x[owner[:near]]  # fn and read gather x per chunk: no copy per piece is held
-    lo[:near], hi[:near] = (lo[:near] - xo) ** beta, (hi[:near] - xo) ** beta
-    del xo
+    if near:
+        xo = x[owner[:near]]  # fn and read gather x per chunk: no copy per piece is held
+        lo[:near], hi[:near] = (lo[:near] - xo) ** beta, (hi[:near] - xo) ** beta
+        del xo
 
     # the table: h on the whole-piece nodes of each gap that a piece in y
     # fills, from which the first round reads those pieces' node values
@@ -379,12 +396,17 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
 
     def fn(piece, u):
         xp = x[owner[piece]][:, None]
-        inu = piece < near
+        # the rows in u: those of the pieces below near
+        if 0 < near < owner.size:
+            inu = piece < near
+            some, every = inu.any(), inu.all()
+        else:
+            inu = some = every = near > 0
         y = u
-        if inu.any():
+        if some:
             with np.errstate(over="ignore"):
                 y = xp + u ** (1.0 / beta)
-            if not inu.all():
+            if not every:
                 y = np.where(inu[:, None], y, u)
         finite = np.isfinite(y)
         whole = finite.all()
@@ -393,16 +415,18 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         vals = np.asarray(h(y), dtype=float)
         if beta > 1.0:
             vals = vals * (y - xp) ** (beta - 1.0)
-        elif beta < 1.0 and not inu.all():
+        elif beta < 1.0 and not every:
             # rows in y: the kernel weight times beta, for the scale 1/beta of u
             with np.errstate(divide="ignore", over="ignore"):
                 w = beta * (y - xp) ** (beta - 1.0)
-            vals = vals * (np.where(inu[:, None], 1.0, w) if inu.any() else w)
+            vals = vals * (np.where(inu[:, None], 1.0, w) if some else w)
         return vals if whole else np.where(finite, vals, 0.0)
 
-    count = np.bincount(owner, minlength=x.size)
-    limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
-    parts = _start_parts(cfg.limit) if not affine and knots.size <= 2 else 1
+    limit = cfg.limit
+    if ends.size > 1:  # a point may have more than one piece
+        count = np.bincount(owner, minlength=x.size)
+        limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
+    parts = _start_parts(cfg.limit) if not affine and len(knots) <= 2 else 1
     val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
                               parts=parts, affine=affine and beta <= 1.0, first=first)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)

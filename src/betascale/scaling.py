@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from .distributions import Distribution, TabulatedCdf
+from .distributions import Beta, Distribution, PointMass, TabulatedCdf
 from .errors import DomainError, NumericError, StageError, parse_number
 from .fractional import (QuadratureConfig, _gauss_kronrod, _law_integral, _quad_on_access,
                          _start_parts, _stieltjes, power_weight)
@@ -61,9 +61,9 @@ def _params(alpha, beta):
 def _points(x, what="evaluation point"):
     """x as a float array after checking that every entry is finite and positive."""
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise DomainError(f"{what} must be finite")
-    if np.any(xs <= 0):
+    if (xs <= 0).any():
         raise DomainError(f"{what} must be positive")
     return xs
 
@@ -80,7 +80,13 @@ def _const_K(alpha, beta):
     return math.exp(sc.gammaln(alpha + beta) - sc.gammaln(alpha))
 
 
-def _node_map(alpha, beta, s):
+def _kumaraswamy_ratio_scale(alpha, beta):
+    """1 / (alpha * beta * B(alpha, beta)), the constant of _node_map's ratio."""
+    return math.exp(-math.log(alpha * beta) - sc.betaln(alpha, beta))
+
+
+@np.errstate(divide="ignore")
+def _node_map(alpha, beta, s, scale=None):
     """(b, weight) at s in [0, 1]: b = (1 - (1 - s)**(1/beta))**(1/alpha), the
     Kumaraswamy(alpha, beta) quantile, and the density ratio f_B(b) / f_K(b)
     = ((1 - b) / (1 - b**alpha))**(beta - 1) / (alpha * beta * B(alpha, beta))
@@ -92,21 +98,23 @@ def _node_map(alpha, beta, s):
     log(b**alpha) = log(-expm1(log e)), whichever argument is the small one,
     and 1 - b from -expm1(log b), so b and 1 - b keep their relative accuracy
     near both ends.  e is floored at 1e-300, where b is 1 and the ratio
-    1/alpha to double precision.
+    1/alpha to double precision.  ``scale`` is 1 / (alpha * beta * B(alpha,
+    beta)), computed here unless given.
     """
-    with np.errstate(divide="ignore"):
-        log_e = np.log1p(-s) / beta
-        e = np.maximum(np.exp(log_e), 1e-300)
-        log_b = np.where(e < 0.5, np.log1p(-e), np.log(-np.expm1(log_e))) / alpha
+    log_e = np.log1p(-s) / beta
+    e = np.maximum(np.exp(log_e), 1e-300)
+    log_b = np.where(e < 0.5, np.log1p(-e), np.log(-np.expm1(log_e))) / alpha
     ratio = -np.expm1(log_b) / e
-    return np.exp(log_b), ratio ** (beta - 1.0) * math.exp(
-        -math.log(alpha * beta) - sc.betaln(alpha, beta))
+    if scale is None:
+        scale = _kumaraswamy_ratio_scale(alpha, beta)
+    return np.exp(log_b), ratio ** (beta - 1.0) * scale
 
 
 def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     """E[g(x / B)] for B ~ Beta(alpha, beta) at every x of a 1-D array of
     points below H.upper, with g = H.cdf ("cdf"), H.sf ("sf") or
-    y -> H.pdf(y) / b ("pdf"): the mixture form of the forward map.
+    y -> H.pdf(y) / b ("pdf"): the mixture form of the forward map.  The
+    density of a point mass at c is the exact f_B(x/c) / c.
 
     Where x/b lies outside H's support g is constant: g(inf) for b < x/r_H
     and g(0-) for b > x/l_H, pieces that take their exact Beta mass from
@@ -120,23 +128,33 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     pieces.  The first failure of cfg.check_points in grid order names
     ``what`` and x.
     """
+    def kumaraswamy_cdf(b):
+        with np.errstate(divide="ignore"):
+            return -np.expm1(beta * np.log1p(-b ** alpha))
+
+    # K(0) = 0 and K(1) = 1, and the Beta mass beyond either end is 0 there
     n = x.size
-    b_lo = x / H.upper if math.isfinite(H.upper) else np.zeros(n)
-    b_hi = np.minimum(x / H.lower, 1.0) if H.lower > 0 else np.ones(n)
-    with np.errstate(divide="ignore"):
-        s_lo, s_hi = (-np.expm1(beta * np.log1p(-b ** alpha)) for b in (b_lo, b_hi))
-    if kind == "cdf":
-        value = sc.betainc(alpha, beta, b_lo)
-    elif kind == "sf":
-        value = sc.betaincc(alpha, beta, b_hi)
-    else:
-        value = np.zeros(n)
-    owner = np.flatnonzero(s_hi > s_lo)
+    s_lo, s_hi, value = np.zeros(n), np.ones(n), np.zeros(n)
+    if math.isfinite(H.upper):
+        b_lo = x / H.upper
+        s_lo = kumaraswamy_cdf(b_lo)
+        if kind == "cdf":
+            value = sc.betainc(alpha, beta, b_lo)
+        elif kind == "pdf" and isinstance(H, PointMass):
+            # all of H's mass sits at c = r_H: the density of c*B at x
+            value = np.asarray(Beta(alpha, beta).pdf(b_lo)) / H.upper
+    if H.lower > 0:
+        b_hi = np.minimum(x / H.lower, 1.0)
+        s_hi = kumaraswamy_cdf(b_hi)
+        if kind == "sf":
+            value = sc.betaincc(alpha, beta, b_hi)
+    owner = (s_hi > s_lo).nonzero()[0]
     empty = 1.0 if kind == "cdf" else 0.0     # g(inf)
     law = getattr(H, kind)
+    scale = _kumaraswamy_ratio_scale(alpha, beta)
 
     def integrand(piece, s):
-        bb, weight = _node_map(alpha, beta, s)
+        bb, weight = _node_map(alpha, beta, s, scale)
         with np.errstate(divide="ignore", over="ignore"):
             y = x[owner[piece]][:, None] / bb
         finite = np.isfinite(y)
@@ -180,13 +198,14 @@ def _forward(H, alpha, beta, x, kind, mode, cfg):
         raise DomainError(f"unknown forward mode {mode!r}")
     cfg = cfg or QuadratureConfig()
     flat = xs.ravel()
-    out = np.full(flat.shape, _AT_OR_ABOVE_UPPER[kind])
+    out = np.empty(flat.shape)
+    out.fill(_AT_OR_ABOVE_UPPER[kind])
     below = flat < H.upper
     if mode == "mixture":
         out[below] = _mixture(H, p.alpha, p.beta, flat[below], kind, cfg)
     else:
         out[below] = _const_K(p.alpha, p.beta) * _weyl(H, p, flat[below], kind, cfg)
-    out = (np.maximum(out, 0.0) if kind == "pdf" else np.clip(out, 0.0, 1.0)).reshape(xs.shape)
+    out = (np.maximum(out, 0.0) if kind == "pdf" else out.clip(0.0, 1.0)).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
 

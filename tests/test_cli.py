@@ -75,6 +75,17 @@ def test_scale_forward_matches_beta_cdf(pointmass1, tmp_path):
     assert np.max(np.abs(data[:, 1] - ref)) <= 1e-8
 
 
+def test_scale_forward_mixture_density_of_a_point_mass(pointmass1, tmp_path):
+    out = str(tmp_path / "pdf.csv")
+    code = main(["scale", "forward", "--dist", pointmass1, "--alpha", "2", "--beta", "3",
+                 "--x-grid", "0.1:0.9:9", "--what", "pdf", "--mode", "mixture", "--out", out])
+    assert code == 0
+    _, data = read_csv_out(out)
+    x = data[:, 0]
+    # the density of B_{2,3}
+    assert np.max(np.abs(data[:, 1] / (12.0 * x * (1.0 - x) ** 2) - 1.0)) <= 1e-12
+
+
 def test_tail_ratio_pareto_exact(pareto2, tmp_path):
     out = str(tmp_path / "ratio.json")
     code = main(["tail", "ratio", "--dist", pareto2, "--alpha", "1",

@@ -87,8 +87,19 @@ def test_pointmass_is_exact_betainc():
                           sc.betainc(2.0, 3.0, xs))
     assert np.array_equal(forward_sf(PointMass(1.0), 2.0, 3.0, xs, mode="mixture"),
                           sc.betaincc(2.0, 3.0, xs))
-    assert np.array_equal(forward_pdf(PointMass(1.0), 2.0, 3.0, xs, mode="mixture"),
-                          np.zeros(xs.size))
+    # the density of B_{2,3}, 12 x (1 - x)**2
+    assert forward_pdf(PointMass(1.0), 2.0, 3.0, xs, mode="mixture") == pytest.approx(
+        12.0 * xs * (1.0 - xs) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("c", (1.0, 2.5))
+@pytest.mark.parametrize("alpha,beta", ((2.0, 3.0), (0.7, 0.4), (1.5, 1.0)))
+def test_pointmass_density_matches_weyl(c, alpha, beta):
+    # f_B(x/c)/c below c in both modes, weyl's through its exact atom formula
+    xs = c * np.linspace(0.01, 0.99, 25)
+    assert forward_pdf(PointMass(c), alpha, beta, xs, mode="mixture") == pytest.approx(
+        forward_pdf(PointMass(c), alpha, beta, xs, mode="weyl"), rel=1e-12)
+    assert forward_pdf(PointMass(1.0), 2.0, 3.0, 0.5, mode="mixture") == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("alpha", (1.7, 2.0, 4.5))

@@ -212,6 +212,17 @@ def test_criterion3_quantiles_take_few_newton_rounds():
     assert rounds <= 16
 
 
+def test_quantile_near_a_double_root_at_the_left_knot():
+    # the first piece of x**3 on 50 knots is 0.0255 s**2 - 0.25 s**3, flat at
+    # its left knot: Newton from the linear start took 495 rounds at 1e-300
+    g = np.linspace(0.0, 1.0, 50)
+    tab = TabulatedCdf(g, g ** 3)
+    for u in (1e-300, 1e-16):
+        k = np.searchsorted(tab.values, [u], "left")
+        assert tab._piece_roots(k, np.array([u]))[1] <= 8, u
+        assert abs(tab.cdf(tab.quantile(u)) - u) <= 1e-15 * u, u
+
+
 def test_tabulated_radial_streams_equal_scipy():
     """Elliptical draws from a tabulated radial law against the same draws
     with each radius the root of scipy's interpolant.  A radius may differ
