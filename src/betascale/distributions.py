@@ -699,32 +699,33 @@ class TabulatedCdf(Distribution):
         if inside.size:
             u = u[inside]
             k = np.searchsorted(v, u, "left")
-            out[inside] = g[k - 1] + self._piece_roots(k, u)[0]
+            out[inside] = self._piece_roots(k, u)[0]
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     def _piece_roots(self, k, u):
-        """The s in [0, h] where piece k - 1's cubic, summed as `_lookup`
-        sums it, equals u, and the number of rounds taken.
+        """The x in [grid[k-1], grid[k]] where piece k - 1's cubic, summed as
+        `_lookup` sums it, equals u, and the number of rounds taken.  A u
+        equal to values[k] is the knot grid[k] itself, in no round.
 
-        Safeguarded Newton on all points at once, from linear interpolation
-        between the piece's knots.  On a piece whose slope a1 at its left knot
-        is 0 it starts from the larger of that and the root of the leading
-        term a2 s**2 (a3 s**3 where a2 is 0 too), clipped into [0, h]: near
-        such a double or triple root the linear start lies far below the
-        root, and Newton from there overshoots the bracket, which then halves
-        one bit a round.  Each round evaluates the cubic and its
+        Otherwise safeguarded Newton on all points at once, from linear
+        interpolation between the piece's knots.  On a piece whose slope a1
+        at its left knot is 0 it starts from the larger of that and the root
+        of the leading term a2 s**2 (a3 s**3 where a2 is 0 too), clipped into
+        [0, h]: near such a double or triple root the linear start lies far
+        below the root, and Newton from there overshoots the bracket, which
+        then halves one bit a round.  Each round evaluates the cubic and its
         derivative at s and moves the bracket [lo, hi] (initially [0, h]) to
         s by the sign of cdf - u.  A step within 4 ulp of the current
         x = knot + s ends the point at s - step clipped into the bracket,
         which may be one of its ends; any other step is taken only if it
         lands strictly inside the bracket, else the bracket is halved.  A
         point also ends when its bracket holds no float between its ends."""
+        g, v = self.grid, self.values
+        out, live = g[k], np.flatnonzero(u != v[k])
+        k, u = k[live], u[live]
         p = self._table.take(k, axis=0)  # row k of the table is piece k - 1
-        v = self.values
-        s = (self.grid[k] - p[:, 0]) * ((u - v[k - 1]) / (v[k] - v[k - 1]))
-        lo, hi = np.zeros_like(s), self.grid[k] - p[:, 0]
-        out = np.empty_like(s)
-        live = np.arange(s.size)
+        s = (g[k] - p[:, 0]) * ((u - v[k - 1]) / (v[k] - v[k - 1]))
+        lo, hi = np.zeros_like(s), g[k] - p[:, 0]
         rounds = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             a0, a1, a2, a3 = (p[:, c] for c in _CDF)
@@ -745,7 +746,7 @@ class TabulatedCdf(Distribution):
                 done = near | ~(newton | ((lo < mid) & (mid < hi)))
                 s = np.where(near, np.clip(new, lo, hi), np.where(newton, new, mid))
                 if done.any():
-                    out[live[done]] = s[done]
+                    out[live[done]] = p[done, 0] + s[done]
                     live, s, u, lo, hi, p = (a[~done] for a in (live, s, u, lo, hi, p))
         return out, rounds
 

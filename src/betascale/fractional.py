@@ -63,7 +63,9 @@ __getattr__ = _quad_on_access(globals())
 
 @dataclass
 class QuadratureConfig:
-    atol: float = 1e-10
+    """QUADPACK's epsabs/epsrel rule: an integral's error estimate is at most
+    atol + rtol*|value|.  No library default sets atol: the target is relative."""
+    atol: float = 0.0
     rtol: float = 1e-8
     limit: int = 200
 
@@ -71,11 +73,9 @@ class QuadratureConfig:
         if not (math.isfinite(value) and math.isfinite(err)):
             raise NumericError(f"{what}: non-finite result {value} (error {err})", estimate=value)
         tol = self.atol + self.rtol * abs(value)
-        if err > max(tol, 1e-12):
-            raise NumericError(
-                f"{what}: quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-                estimate=value,
-            )
+        if err > tol:
+            raise NumericError(f"{what}: quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
+                               estimate=value)
 
     def check_points(self, x, value, err, what):
         """Check the integrals named ``what`` at the points of ``x`` (a scalar
@@ -90,9 +90,9 @@ class QuadratureConfig:
                 raise
 
 
-# for integrals whose values may be tiny, tail probabilities and conditioning
-# masses: an atol of 1e-300 leaves the tolerance relative, as rtol * |value|
-_RELATIVE_CFG = QuadratureConfig(atol=1e-300, rtol=1e-9)
+# the tail and elliptical layers' target: their tail probabilities and
+# conditioning masses feed ratios, held one digit tighter than the default
+_RELATIVE_CFG = QuadratureConfig(rtol=1e-9)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], by node >= 0:

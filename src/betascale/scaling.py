@@ -43,6 +43,11 @@ __all__ = [
 
 __getattr__ = _quad_on_access(globals())
 
+# invert_iterative's target: its CDF is only as accurate as its tables (~1e-3)
+_INVERT_CFG = QuadratureConfig(rtol=1e-6)
+# chain_forward's: each nested level's CDF is the next level's integrand
+_CHAIN_CFG = QuadratureConfig(rtol=1e-10)
+
 
 @dataclass(frozen=True)
 class ScalingParams:
@@ -245,10 +250,6 @@ def forward_tabulated(H, alpha, beta, grid=None, n_points=200, q_max=1e-4,
     The default grid is ``default_grid(H, n_points, q_max)``.
     """
     p = _params(alpha, beta)
-    # absolute tolerance relaxed: near the origin the scaled CDF is O(x),
-    # and the default 1e-10 absolute target is unreachable for the
-    # breakpointed mixture quadrature there
-    cfg = cfg or QuadratureConfig(atol=1e-8, rtol=1e-8)
     if grid is None:
         grid = default_grid(H, n_points, q_max)
     vals = forward_cdf(H, p.alpha, p.beta, grid, mode=mode, cfg=cfg)
@@ -404,10 +405,7 @@ def invert_iterative(F, alpha, plan, grid, cfg=None, mono_tol=1e-3):
     alpha = float(alpha)
     if not 0.0 < alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
-    # the recovered CDF is only accurate to the tabulation error (~1e-3),
-    # so the default 1e-10 absolute quadrature floor buys nothing and can
-    # fail spuriously deep in the tail of the extended working grid
-    cfg = cfg or QuadratureConfig(atol=1e-6, rtol=1e-6)
+    cfg = cfg or _INVERT_CFG
     grid = _points(grid, "grid")
     if grid.size == 0:
         raise DomainError("grid needs at least one point")
@@ -488,7 +486,7 @@ def chain_forward(H, params, x, cfg=None):
     NumericError naming the level, counted after merging, and the point.
     """
     x = _check_forward_args(H, x)
-    cfg = cfg or QuadratureConfig(atol=1e-11, rtol=1e-10)
+    cfg = cfg or _CHAIN_CFG
     pairs = [(p.alpha, p.beta) if isinstance(p, ScalingParams)
              else (_params(*p).alpha, _params(*p).beta) for p in params]
     law = H

@@ -31,7 +31,8 @@ from betascale import (
     forward_tabulated,
     invert_iterative,
 )
-from betascale.fractional import _law_integral, power_weight, weyl_integral, weyl_stieltjes
+from betascale.fractional import (_RELATIVE_CFG, _law_integral, power_weight, weyl_integral,
+                                  weyl_stieltjes)
 from betascale.scaling import _full_step
 
 
@@ -113,8 +114,8 @@ def test_mixture_matches_weyl(H, a, b, xs):
 
 
 def test_mixture_relative_accuracy_in_far_tail():
-    # the tails layer's configuration: no absolute floor
-    cfg = QuadratureConfig(atol=1e-300, rtol=1e-9)
+    # the tails layer's configuration
+    cfg = _RELATIVE_CFG
     for x in (8.0, 30.0, 100.0):
         ref_sf, ref_pdf = pareto_scaled(x)
         assert forward_sf(Pareto(2.0, 1.0), 2.0, 0.7, x, mode="mixture", cfg=cfg) == pytest.approx(

@@ -218,7 +218,7 @@ def test_composing_chain_costs_one_engine_call(monkeypatch):
     value = chain_forward(H, CHAIN_REPORT[0][1], x)
     assert len(calls) == 1
     assert value == pytest.approx(forward_cdf(H, 2.0, 1.6, x, mode="mixture",
-                                              cfg=QuadratureConfig(atol=1e-11, rtol=1e-10)),
+                                              cfg=scaling._CHAIN_CFG),
                                   rel=0.0, abs=1e-12)
 
 

@@ -223,6 +223,19 @@ def test_quantile_near_a_double_root_at_the_left_knot():
         assert abs(tab.cdf(tab.quantile(u)) - u) <= 1e-15 * u, u
 
 
+def test_quantile_at_a_knot_value_is_that_knot(tables):
+    # a piece flat at its right knot, with u that knot's value, halved its
+    # bracket one bit a round: random 1 at values[2] took 54 rounds and gave
+    # 21.848631866562435 for the knot 21.84863188621034
+    for s in range(40):
+        tab = tables[f"random {s}"]
+        v = tab.values
+        u = v[(v > v[0]) & (v < v[-1])]
+        k = np.searchsorted(v, u, "left")  # the left knot of a flat run
+        assert tab._piece_roots(k, u)[1] <= 1, s
+        assert np.array_equal(tab.quantile(u), tab.grid[k]), s
+
+
 def test_tabulated_radial_streams_equal_scipy():
     """Elliptical draws from a tabulated radial law against the same draws
     with each radius the root of scipy's interpolant.  A radius may differ

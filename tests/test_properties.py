@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from betascale import (Beta, Exponential, Gamma, IterationPlan, Pareto, PointMass,
                        QuadratureConfig, Rayleigh, Uniform, chain_forward, forward_cdf,
                        power_weight, weyl_integral)
-from betascale.scaling import _Chained, _merge_links
+from betascale.scaling import _CHAIN_CFG as CHAIN_CFG, _Chained, _merge_links
 
 _LAWS = [Exponential(1.0), Gamma(2.5, 1.5), Rayleigh(1.0), Pareto(2.0, 1.0),
          Uniform(0.0, 1.0), Beta(2.0, 2.0), Beta(1.5, 0.5), PointMass(1.0)]
@@ -54,10 +54,6 @@ def test_chain_forward_composes_to_one_step(law, a, b, c, q):
     x = float(H.quantile(q))
     chained = chain_forward(H, [(a, b), (a + b, c)], x)
     assert abs(chained - forward_cdf(H, a, b + c, x, mode="mixture")) <= CHAIN_ABS
-
-
-# chain_forward's default config
-CHAIN_CFG = QuadratureConfig(atol=1e-11, rtol=1e-10)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -120,10 +116,10 @@ def test_unmerged_chain_levels_compose():
         assert abs(nested - forward_cdf(H, a, b + c, x, mode="mixture")) <= CHAIN_ABS
 
 
-# relative tolerance alone: under the default atol of 1e-10 an inner value
-# far out in the tail, ~1e-16 at y = 1e8 for c = 3.5, may be off by most of
-# itself, and the outer kernel weight (y - x)**(a - 1) magnifies that
-SEMIGROUP_CFG = QuadratureConfig(atol=0.0, rtol=1e-10)
+# relative tolerance alone, tighter than the default: an inner value far
+# out in the tail, ~1e-16 at y = 1e8 for c = 3.5, is held to 1e-10 of
+# itself, which the outer kernel weight (y - x)**(a - 1) then magnifies
+SEMIGROUP_CFG = QuadratureConfig(rtol=1e-10)
 SEMIGROUP_REL = 1e-9
 
 

@@ -14,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
-from betascale import (Beta, Exponential, Gamma, IterationPlan, QuadratureConfig, Rayleigh,
+from betascale import (Beta, Exponential, Gamma, IterationPlan, Rayleigh,
                        StageError, Uniform, forward_cdf, forward_pdf,
                        forward_tabulated, invert_iterative, invert_onestep)
 from betascale import fractional
 from betascale.fractional import _law_integral
-from betascale.scaling import _full_step
+from betascale.scaling import _INVERT_CFG as STAGE_CFG, _full_step
 from test_mixture import _FailAt
 from test_pchip import criterion3_tables, random_table
 
 DELTAS = (0.2, 0.3, 0.5, 0.8)
-STAGE_CFG = QuadratureConfig(atol=1e-6, rtol=1e-6)  # invert_iterative's
 
 
 def u_map_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
@@ -363,6 +362,18 @@ def criterion3_inversions():
             out.append((forward_tabulated(H, alpha, beta, n_points=240), alpha,
                         IterationPlan.default_for(beta), grid))
     return out
+
+
+def forward_table_rows():
+    """The qk21 rows (subintervals) of the 12 forward tabulations of
+    criterion3_inversions."""
+    rows, qk21 = [], fractional._qk21
+    fractional._qk21 = lambda f, half: rows.append(len(f)) or qk21(f, half)
+    try:
+        criterion3_inversions()
+    finally:
+        fractional._qk21 = qk21
+    return sum(rows)
 
 
 def stage_report(repeats=3, first_round=None):
