@@ -787,23 +787,26 @@ def _linfit(x, y):
     return slope, intercept, r2
 
 
-def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaClass:
+_MIN_FIT_POINTS, _R2_FLOOR = 8, 0.99
+
+
+def _classify_tabulated(tab: TabulatedCdf) -> MdaClass:
     """Tail diagnostic on the top two decades of probability of the grid.
 
     Fits the three candidate tail shapes by least squares and keeps the best
     one; when a declared hint is present only the hinted shape is fitted.
-    An R-squared below the floor yields the ``unclassified`` outcome.
+    An R-squared below _R2_FLOOR yields the ``unclassified`` outcome.
     """
     sf = 1.0 - tab.values
     x = tab.grid
     pos = sf > 0
-    if pos.sum() < min_points:
+    if pos.sum() < _MIN_FIT_POINTS:
         return MdaClass("unclassified", confident=False)
     s_lo = sf[pos].min()
     window = pos & (sf <= 100.0 * s_lo) & (x > 0)
-    if window.sum() < min_points:
+    if window.sum() < _MIN_FIT_POINTS:
         window = pos & (x > 0)
-        if window.sum() < min_points:
+        if window.sum() < _MIN_FIT_POINTS:
             return MdaClass("unclassified", confident=False)
     xs, ss = x[window], sf[window]
 
@@ -817,14 +820,14 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
     if hint in (None, "weibull"):
         r_up = float(tab.grid[-1])
         keep = xs < r_up
-        if keep.sum() >= min_points:
+        if keep.sum() >= _MIN_FIT_POINTS:
             slope, _, r2 = _linfit(np.log(r_up - xs[keep]), np.log(ss[keep]))
             if slope > 0:
                 candidates["weibull"] = (r2, MdaClass("weibull", gamma=slope,
                                                       r_upper=r_up, r_squared=r2))
     if hint in (None, "gumbel"):
         keep = ss < 1.0  # log(-log(sf)) needs sf < 1
-        if keep.sum() >= min_points:
+        if keep.sum() >= _MIN_FIT_POINTS:
             slope, intercept, r2 = _linfit(np.log(xs[keep]), np.log(-np.log(ss[keep])))
             if slope > 0:
                 w = ScalingFunction.power(math.exp(intercept), slope)
@@ -833,7 +836,7 @@ def _classify_tabulated(tab: TabulatedCdf, min_points=8, r2_floor=0.99) -> MdaCl
     if not candidates:
         return MdaClass("unclassified", confident=False)
     best = max(candidates.values(), key=lambda t: t[0])
-    if best[0] < r2_floor:
+    if best[0] < _R2_FLOOR:
         return MdaClass("unclassified", confident=False, r_squared=best[0])
     return best[1]
 

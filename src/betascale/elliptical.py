@@ -75,8 +75,8 @@ def _h2(m: EllipticalModel, z):
 
 def _integral(integrand, lo, hi, ends, cfg, x, what):
     """int_lo^hi of a vectorized integrand (hi may be inf) with the abscissae
-    ``ends`` inside (lo, hi) as piece ends, by the adaptive engine at cfg's
-    own tolerances, checked by cfg.check_points as ``what`` at x."""
+    ``ends`` inside (lo, hi) as piece ends, by the adaptive engine, checked
+    by cfg.check_points as ``what`` at x."""
     cuts = np.array([lo] + sorted({e for e in ends if lo < e < hi}) + [hi])
     val, err = _gauss_kronrod(lambda _, t: integrand(t), np.zeros(cuts.size - 1, dtype=int),
                               cuts[:-1], cuts[1:], 1, cfg.atol, cfg.rtol, cfg.limit)

@@ -183,7 +183,7 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     whose constant Jacobian w scales each row's sums.  Every round applies
     qk21 with QUADPACK's error estimate to the new subintervals (at most
     _GK_CHUNK per call of ``fn``); each integral whose estimate exceeds
-    max(epsabs, epsrel*|value|) bisects its largest-error subinterval, as
+    epsabs + epsrel*|value| bisects its largest-error subinterval, as
     QUADPACK does, while it holds fewer than ``limit`` (scalar or per
     integral); the subintervals are counted only once a round's bound on
     them reaches the least limit.  The caller checks the result.
@@ -256,7 +256,7 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
         etotal = np.bincount(point, weights=err, minlength=n)
-        short = etotal > np.maximum(epsabs, epsrel * np.abs(total))
+        short = etotal > epsabs + epsrel * np.abs(total)
         if most >= least:
             short &= np.bincount(point, minlength=n) < limit
         if not short.any():
@@ -349,13 +349,12 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     kernel weight at the point, without building nodes or calling h; a
     bisected piece calls h at its own nodes.
 
-    As quad was, the engine is asked for 0.01*atol and 0.01*rtol, with
-    max(cfg.limit, 3k + 50) subintervals for k knots inside the range.
-    With at most 2 knots (so at most 3 pieces a point), every piece starts
-    as _start_parts(cfg.limit) subintervals, the start of the mixture form
-    too; an ``affine`` integrand, whose polynomial pieces converge whole,
-    and a call with more knots start from whole pieces.  The pieces and
-    their start depend on the call's knots and the point alone.
+    A point may hold max(cfg.limit, 3k + 50) subintervals for k knots inside
+    the range.  With at most 2 knots (so at most 3 pieces a point), every
+    piece starts as _start_parts(cfg.limit) subintervals, the start of the
+    mixture form too; an ``affine`` integrand, whose polynomial pieces
+    converge whole, and a call with more knots start from whole pieces.
+    The pieces and their start depend on the call's knots and the point alone.
     """
     knots = set(map(float, knots))
     bounds = np.array([-math.inf, *sorted(k for k in knots if k < upper), upper])
@@ -375,6 +374,12 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         lo[:near], hi[:near] = (lo[:near] - xo) ** beta, (hi[:near] - xo) ** beta
         del xo
 
+    def weight(y, xp):
+        """The kernel weight of rows in y: (y - x)**(beta - 1), times beta for beta < 1."""
+        with np.errstate(divide="ignore", over="ignore"):
+            w = (y - xp) ** (beta - 1.0)
+        return beta * w if beta < 1.0 else w
+
     # the table: h on the whole-piece nodes of each gap that a piece in y
     # fills, from which the first round reads those pieces' node values
     first = None
@@ -389,8 +394,7 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         def read(j):
             """fn's values on the whole pieces j in y, from the table."""
             g = gap[j - near]
-            with np.errstate(divide="ignore", over="ignore"):
-                return h_tab[g] * (beta * (y_tab[g] - x[owner[j]][:, None]) ** (beta - 1.0))
+            return h_tab[g] * weight(y_tab[g], x[owner[j]][:, None])
 
         first = near, read
 
@@ -413,12 +417,8 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         if not whole:
             y = np.where(finite, y, xp)
         vals = np.asarray(h(y), dtype=float)
-        if beta > 1.0:
-            vals = vals * (y - xp) ** (beta - 1.0)
-        elif beta < 1.0 and not every:
-            # rows in y: the kernel weight times beta, for the scale 1/beta of u
-            with np.errstate(divide="ignore", over="ignore"):
-                w = beta * (y - xp) ** (beta - 1.0)
+        if beta != 1.0 and not every:  # rows in y; for beta > 1 all of them
+            w = weight(y, xp)
             vals = vals * (np.where(inu[:, None], 1.0, w) if some else w)
         return vals if whole else np.where(finite, vals, 0.0)
 
@@ -427,9 +427,9 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
         count = np.bincount(owner, minlength=x.size)
         limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
     parts = _start_parts(cfg.limit) if not affine and len(knots) <= 2 else 1
-    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, 0.01 * cfg.atol, 0.01 * cfg.rtol, limit,
-                              parts=parts, affine=affine and beta <= 1.0, first=first)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
+    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, cfg.atol / scale, cfg.rtol, limit,
+                              parts=parts, affine=affine and beta <= 1.0, first=first)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)
     return val

@@ -45,8 +45,6 @@ __getattr__ = _quad_on_access(globals())
 
 # invert_iterative's target: its CDF is only as accurate as its tables (~1e-3)
 _INVERT_CFG = QuadratureConfig(rtol=1e-6)
-# chain_forward's: each nested level's CDF is the next level's integrand
-_CHAIN_CFG = QuadratureConfig(rtol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -125,13 +123,12 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     and g(0-) for b > x/l_H, pieces that take their exact Beta mass from
     betainc / betaincc.  The single piece between them runs in b = Q_K(s)
     (see _node_map), s in [K(x/r_H), K(x/l_H)] with K the Kumaraswamy CDF.
-    All points go through one call of fractional._gauss_kronrod at cfg's
-    own tolerances, whose end-flat map of the piece absorbs the
-    inverse-square-root singularity a density can leave at a piece end
-    (Beta(1.5, .5) at r_H); each piece starts as the
-    fractional._start_parts(cfg.limit) subintervals of weyl mode's analytic
-    pieces.  The first failure of cfg.check_points in grid order names
-    ``what`` and x.
+    All points go through one call of fractional._gauss_kronrod, whose
+    end-flat map of the piece absorbs the inverse-square-root singularity a
+    density can leave at a piece end (Beta(1.5, .5) at r_H); each piece
+    starts as the fractional._start_parts(cfg.limit) subintervals of weyl
+    mode's analytic pieces.  The first failure of cfg.check_points in grid
+    order names ``what`` and x.
     """
     def kumaraswamy_cdf(b):
         with np.errstate(divide="ignore"):
@@ -372,7 +369,6 @@ class IterationPlan:
             raise DomainError("plan breakpoints must decrease in steps of (0, 1]")
         self.breakpoints = bps
         self.lams = [min(l, 1.0) for l in lams]
-        self.deltas = [1.0 - l for l in self.lams]
 
     @property
     def beta(self):
@@ -486,7 +482,7 @@ def chain_forward(H, params, x, cfg=None):
     NumericError naming the level, counted after merging, and the point.
     """
     x = _check_forward_args(H, x)
-    cfg = cfg or _CHAIN_CFG
+    cfg = cfg or QuadratureConfig()
     pairs = [(p.alpha, p.beta) if isinstance(p, ScalingParams)
              else (_params(*p).alpha, _params(*p).beta) for p in params]
     law = H

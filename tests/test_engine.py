@@ -207,11 +207,8 @@ SINGLE_POINTS = os.path.join(os.path.dirname(__file__), "data", "single_points.j
 def single_point_hex():
     """float.hex of every ROUND_LAWS point alone in both modes, keyed by law,
     alpha, beta, quantile, function and mode.  A change that moves one of
-    them captures tests/data/single_points.json again, from the tests
-    directory with the library on the path:
-
-        python -c "import json, test_engine as t; json.dump(t.single_point_hex(),
-                   open('data/single_points.json', 'w'), indent=1, sort_keys=True)"
+    them captures tests/data/single_points.json again with
+    capture_single_points().
     """
     out = {}
     for mode in ("weyl", "mixture"):
@@ -222,6 +219,27 @@ def single_point_hex():
                     key = f"{type(H).__name__} {alpha} {beta} q={q} {name} {mode}"
                     out[key] = fn(H, alpha, beta, x, mode=mode).hex()
     return out
+
+
+def capture_single_points(path=SINGLE_POINTS):
+    """Write single_point_hex() to ``path``, tests/data/single_points.json by
+    default, in that file's layout; from the tests directory with the
+    library on the path:
+
+        python -c "import test_engine as t; t.capture_single_points()"
+    """
+    with open(path, "w") as fh:
+        json.dump(single_point_hex(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def test_capture_writes_the_stored_layout(tmp_path, monkeypatch):
+    # the stored points captured again are the stored file, byte for byte
+    with open(SINGLE_POINTS) as fh:
+        stored = fh.read()
+    monkeypatch.setattr(sys.modules[__name__], "single_point_hex", lambda: json.loads(stored))
+    capture_single_points(tmp_path / "points.json")
+    assert (tmp_path / "points.json").read_text() == stored
 
 
 def test_single_points_are_byte_identical():
@@ -315,7 +333,8 @@ def unpruned_gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=No
     """fractional._gauss_kronrod before its rounds were pruned: every round
     concatenates its chunks' results, tests every subinterval for a split
     and takes its midpoint, adds the retired integrals' sums and counts
-    each integral's subintervals against its limit."""
+    each integral's subintervals against its limit.  Its stop test is the
+    engine's, epsabs + epsrel*|value|."""
     _GK_X, _GK_CHUNK, _EPS, _TINY = (fractional._GK_X, fractional._GK_CHUNK, fractional._EPS,
                                      fractional._TINY)
     value = np.zeros(n) if value is None else value
@@ -367,7 +386,7 @@ def unpruned_gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=No
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
         etotal = np.bincount(point, weights=err, minlength=n)
-        short = ((etotal > np.maximum(epsabs, epsrel * np.abs(total)))
+        short = ((etotal > epsabs + epsrel * np.abs(total))
                  & (np.bincount(point, minlength=n) < limit))
         if not short.any():
             return total, error + etotal

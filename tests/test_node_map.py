@@ -126,6 +126,41 @@ def test_chain_gamma_beta_closed_form():
                                      rel=1e-10, abs=1e-11)
 
 
+# two Uniform(0, 1) multipliers B_{1,1}, which do not compose: each is its
+# own level of the engine, and the inner level's CDF the outer's integrand
+UNIFORM_LINKS = [(1.0, 1.0), (1.0, 1.0)]
+
+
+def exponential_chain_cdf(x):
+    """P(U1*U2*E <= x) for E ~ Exponential(1) in mpmath: W = 1/(U1*U2) has
+    the density ln(w)/w**2 on (1, inf), so the survivor is
+    int_1^inf e^(-x*w) ln(w)/w**2 dw, and the cdf the same integral of
+    1 - e^(-x*w), without cancellation at small x."""
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        return float(mp.quad(lambda w: -mp.expm1(-x * w) * mp.log(w) / w ** 2,
+                             [1, 2, 10, 100, mp.inf]))
+
+
+@pytest.mark.parametrize("law", ["point mass", "uniform", "exponential"])
+def test_unmerged_chain_meets_the_default_rtol(law):
+    # against exact references at the default config: the worst relative
+    # errors are 2.2e-16 (point mass), 2.8e-15 (uniform) and 2.8e-11
+    # (exponential), so the nested levels need no tighter target
+    assert _merge_links(UNIFORM_LINKS) == UNIFORM_LINKS
+    if law == "exponential":
+        H, x = Exponential(1.0), np.geomspace(1e-3, 8.0, 12)
+        ref = np.array([exponential_chain_cdf(v) for v in x])
+    else:
+        x = np.geomspace(1e-3, 0.999, 30)
+        lx = np.log(x)
+        # U1*U2 has the cdf x - x ln x, U1*U2*U3 the cdf x (1 - ln x + ln^2 x / 2)
+        H, ref = ((PointMass(1.0), x - x * lx) if law == "point mass"
+                  else (Uniform(0.0, 1.0), x * (1.0 - lx + lx * lx / 2.0)))
+    got = chain_forward(H, UNIFORM_LINKS, x)
+    assert np.max(np.abs(got / ref - 1.0)) <= QuadratureConfig().rtol
+
+
 def test_chain_array_matches_per_point_calls():
     # an array x returns an array of x's shape, a scalar x a float, and the
     # engine sums each node row on its own, so the two agree bit for bit
@@ -217,9 +252,7 @@ def test_composing_chain_costs_one_engine_call(monkeypatch):
     H, x = Pareto(2.0, 1.0), 0.4
     value = chain_forward(H, CHAIN_REPORT[0][1], x)
     assert len(calls) == 1
-    assert value == pytest.approx(forward_cdf(H, 2.0, 1.6, x, mode="mixture",
-                                              cfg=scaling._CHAIN_CFG),
-                                  rel=0.0, abs=1e-12)
+    assert value == pytest.approx(forward_cdf(H, 2.0, 1.6, x, mode="mixture"), rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from betascale import (Beta, Exponential, Gamma, IterationPlan, Pareto, PointMass,
                        QuadratureConfig, Rayleigh, Uniform, chain_forward, forward_cdf,
                        power_weight, weyl_integral)
-from betascale.scaling import _CHAIN_CFG as CHAIN_CFG, _Chained, _merge_links
+from betascale.scaling import _Chained, _merge_links
 
 _LAWS = [Exponential(1.0), Gamma(2.5, 1.5), Rayleigh(1.0), Pareto(2.0, 1.0),
          Uniform(0.0, 1.0), Beta(2.0, 2.0), Beta(1.5, 0.5), PointMass(1.0)]
@@ -68,8 +68,7 @@ def test_composing_chain_is_one_forward_call(law, a16, b16, rnd, q):
     rnd.shuffle(links)
     H = _LAWS[law]
     x = float(H.quantile(q))
-    assert chain_forward(H, links, x) == forward_cdf(H, a, sum(b), x, mode="mixture",
-                                                     cfg=CHAIN_CFG)
+    assert chain_forward(H, links, x) == forward_cdf(H, a, sum(b), x, mode="mixture")
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -82,15 +81,15 @@ def test_plan_stages_chain_to_the_forward_map(law, alpha, beta, q):
     assert len(_merge_links(links)) == 1
     H = _LAWS[law]
     x = float(H.quantile(q))
-    assert abs(chain_forward(H, links, x, cfg=CHAIN_CFG)
-               - forward_cdf(H, alpha, beta, x, mode="mixture", cfg=CHAIN_CFG)) <= 1e-12
+    assert abs(chain_forward(H, links, x)
+               - forward_cdf(H, alpha, beta, x, mode="mixture")) <= 1e-12
 
 
 def _nested(H, links, x):
     """chain_forward's CDF at x with every link its own level of the engine."""
     law = H
     for level, (a, b) in enumerate(links, start=1):
-        law = _Chained(law, a, b, CHAIN_CFG, f"nested level {level}")
+        law = _Chained(law, a, b, QuadratureConfig(), f"nested level {level}")
     return float(np.clip(law.cdf(np.array([x])), 0.0, 1.0)[0])
 
 
