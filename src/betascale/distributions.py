@@ -621,7 +621,7 @@ class TabulatedCdf(Distribution):
     scipy's PPoly does, ((a0 + a1 s) + a2 s**2) + a3 (s**2 s).  The monotone
     interpolant supplies the density analytically; a quantile is the root
     of one piece's cubic, found by safeguarded Newton.  Below the grid the
-    CDF is 0, above it is 1.  Every evaluation reads one piece table
+    CDF is 0, above it values[-1].  Every evaluation reads one piece table
     through `_lookup`.
     """
 

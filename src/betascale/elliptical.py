@@ -18,7 +18,7 @@ from scipy import special as sc
 
 from .distributions import Distribution, PointMass, make_rng
 from .errors import DomainError, NoDensityError, NumericError
-from .fractional import _RELATIVE_CFG, _gauss_kronrod, _quad_on_access, measure_knots
+from .fractional import _RELATIVE_CFG, _kernel_integral, _quad_on_access, measure_knots
 
 __all__ = [
     "EllipticalModel",
@@ -73,20 +73,9 @@ def _h2(m: EllipticalModel, z):
     return np.asarray(m.radial.pdf(rz), dtype=float) / (2.0 * rz)
 
 
-def _integral(integrand, lo, hi, ends, cfg, x, what):
-    """int_lo^hi of a vectorized integrand (hi may be inf) with the abscissae
-    ``ends`` inside (lo, hi) as piece ends, by the adaptive engine, checked
-    by cfg.check_points as ``what`` at x."""
-    cuts = np.array([lo] + sorted({e for e in ends if lo < e < hi}) + [hi])
-    val, err = _gauss_kronrod(lambda _, t: integrand(t), np.zeros(cuts.size - 1, dtype=int),
-                              cuts[:-1], cuts[1:], 1, cfg.atol, cfg.rtol, cfg.limit)
-    cfg.check_points(x, val, err, what)
-    return float(val[0])
-
-
 def _point_normalizer(m: EllipticalModel, x, cfg):
     """int_0^inf h2(s + y) y**(-1/2) dy at s = x**2, computed as
-    2 int_0^inf h2(s + u^2) du."""
+    2 int_0^inf h2(s + u^2) du, the order-1 kernel integral from u = 0."""
     s = x * x
     r_up = m.radial.upper
     u_up = math.inf if not math.isfinite(r_up) else math.sqrt(max(r_up ** 2 - s, 0.0))
@@ -94,8 +83,8 @@ def _point_normalizer(m: EllipticalModel, x, cfg):
         raise DomainError("conditioning level at or above the radial endpoint")
     # the radial law's support ends are piece ends in u
     ends = [math.sqrt(k ** 2 - s) for k in measure_knots(m.radial) if k ** 2 > s]
-    val = 2.0 * _integral(lambda u: _h2(m, s + u * u), 0.0, u_up, ends, cfg, x,
-                          "conditional normalizer")
+    val = 2.0 * float(_kernel_integral(lambda u: _h2(m, s + u * u), ends, 1.0, np.zeros(1),
+                                       u_up, cfg, f"conditional normalizer given U = {x}")[0])
     if val <= 0.0:
         raise NumericError("conditional normalizer vanished", estimate=val)
     return val
@@ -172,12 +161,13 @@ def _importance_draws(m: EllipticalModel, x, n, rng):
 
 def _arc_integral(m: EllipticalModel, x, arc, ends, cfg, what):
     """int of arc(r) * f_R(r) over r > max(x, 0), with the radii ``ends`` and
-    the radial law's support ends as piece ends; None when no radius
-    exceeds x."""
+    the radial law's support ends as piece ends, checked as ``what`` given
+    U > x; None when no radius exceeds x."""
     if max(x, 0.0) >= m.radial.upper:
         return None
-    return _integral(lambda r: arc(r) * np.asarray(m.radial.pdf(r), dtype=float), max(x, 0.0),
-                     m.radial.upper, list(ends) + measure_knots(m.radial), cfg, x, what)
+    return float(_kernel_integral(lambda r: arc(r) * np.asarray(m.radial.pdf(r), dtype=float),
+                                  [*ends, *measure_knots(m.radial)], 1.0, np.array([max(x, 0.0)]),
+                                  m.radial.upper, cfg, f"{what} given U > {x}")[0])
 
 
 def _arc_mass(m: EllipticalModel, x, cfg):

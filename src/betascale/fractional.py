@@ -63,16 +63,15 @@ __getattr__ = _quad_on_access(globals())
 
 @dataclass
 class QuadratureConfig:
-    """QUADPACK's epsabs/epsrel rule: an integral's error estimate is at most
-    atol + rtol*|value|.  No library default sets atol: the target is relative."""
-    atol: float = 0.0
+    """A relative target: an integral's error estimate is at most rtol*|value|,
+    QUADPACK's epsrel rule with no absolute term, and the engine's stop test."""
     rtol: float = 1e-8
     limit: int = 200
 
     def check(self, value, err, what):
         if not (math.isfinite(value) and math.isfinite(err)):
             raise NumericError(f"{what}: non-finite result {value} (error {err})", estimate=value)
-        tol = self.atol + self.rtol * abs(value)
+        tol = self.rtol * abs(value)
         if err > tol:
             raise NumericError(f"{what}: quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
                                estimate=value)
@@ -159,16 +158,21 @@ def _piece_nodes(a, w, mid, half, affine):
     return a + w[:, None] * t * t * (3.0 - 2.0 * t), t
 
 
-def _start_parts(limit):
-    """The equal subintervals in t that each piece of an analytic integrand
-    starts as, for the forward operators of both modes: 4, so that one round
-    of qk21 mostly meets the tolerance, or the whole piece where the
-    subinterval limit is below 4."""
-    return 4 if limit >= 4 else 1
+def _engine_start(cfg, whole, owner=None, n=0):
+    """(limit, parts), the start rule of every operator's engine run: each
+    piece starts whole, where ``whole`` or cfg.limit < 4, else as 4 equal
+    subintervals in t, so that one round of qk21 mostly meets the tolerance;
+    an integral holds at most cfg.limit subintervals, or max(cfg.limit,
+    3k + 50) where ``owner`` (of n integrals) cuts it into k + 1 > 1 pieces."""
+    parts = 1 if whole or cfg.limit < 4 else 4
+    if owner is None:
+        return cfg.limit, parts
+    count = np.bincount(owner, minlength=n)
+    return np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit), parts
 
 
-def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
-                   affine=False, first=None):
+def _gauss_kronrod(fn, owner, lo, hi, n, rtol, limit, value=None, parts=1, affine=False,
+                   first=None):
     """Adaptive qk21 quadrature of n integrals at once: (values, errors).
 
     Integral i is value[i] (an exact part, 0 by default) plus the integrals
@@ -183,7 +187,7 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
     whose constant Jacobian w scales each row's sums.  Every round applies
     qk21 with QUADPACK's error estimate to the new subintervals (at most
     _GK_CHUNK per call of ``fn``); each integral whose estimate exceeds
-    epsabs + epsrel*|value| bisects its largest-error subinterval, as
+    rtol*|value| bisects its largest-error subinterval, as
     QUADPACK does, while it holds fewer than ``limit`` (scalar or per
     integral); the subintervals are counted only once a round's bound on
     them reaches the least limit.  The caller checks the result.
@@ -256,7 +260,7 @@ def _gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, part
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
         etotal = np.bincount(point, weights=err, minlength=n)
-        short = etotal > epsabs + epsrel * np.abs(total)
+        short = etotal > rtol * np.abs(total)
         if most >= least:
             short &= np.bincount(point, minlength=n) < limit
         if not short.any():
@@ -323,7 +327,8 @@ def measure_knots(H):
 
 def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     """(1/Gamma(beta)) * int_x^upper (y-x)**(beta-1) * h(y) dy at every point
-    of the 1-D array x, beta > 0, for a vectorized h, checked by
+    of the 1-D array x, beta > 0, for a vectorized h (at beta = 1 the plain
+    integral of h, as the elliptical layer takes it), checked by
     cfg.check_points as ``what``: 0 where x >= upper; h counts as 0 where y
     overflows.
 
@@ -349,12 +354,11 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     kernel weight at the point, without building nodes or calling h; a
     bisected piece calls h at its own nodes.
 
-    A point may hold max(cfg.limit, 3k + 50) subintervals for k knots inside
-    the range.  With at most 2 knots (so at most 3 pieces a point), every
-    piece starts as _start_parts(cfg.limit) subintervals, the start of the
-    mixture form too; an ``affine`` integrand, whose polynomial pieces
-    converge whole, and a call with more knots start from whole pieces.
-    The pieces and their start depend on the call's knots and the point alone.
+    The engine starts by _engine_start: with at most 2 knots (at most 3
+    pieces a point) each piece starts as 4 subintervals, as in the mixture
+    form of an analytic law; an ``affine`` integrand, whose polynomial
+    pieces converge whole, and a call with more knots start from whole
+    pieces.  Pieces and start depend on the call's knots and x alone.
     """
     knots = set(map(float, knots))
     bounds = np.array([-math.inf, *sorted(k for k in knots if k < upper), upper])
@@ -422,14 +426,11 @@ def _kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
             vals = vals * (np.where(inu[:, None], 1.0, w) if some else w)
         return vals if whole else np.where(finite, vals, 0.0)
 
-    limit = cfg.limit
-    if ends.size > 1:  # a point may have more than one piece
-        count = np.bincount(owner, minlength=x.size)
-        limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
-    parts = _start_parts(cfg.limit) if not affine and len(knots) <= 2 else 1
+    limit, parts = _engine_start(cfg, affine or len(knots) > 2,
+                                 owner if ends.size > 1 else None, x.size)
+    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, cfg.rtol, limit, parts=parts,
+                              affine=affine and beta <= 1.0, first=first)
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
-    val, err = _gauss_kronrod(fn, owner, lo, hi, x.size, cfg.atol / scale, cfg.rtol, limit,
-                              parts=parts, affine=affine and beta <= 1.0, first=first)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)
     return val

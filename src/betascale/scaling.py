@@ -24,8 +24,8 @@ from scipy import special as sc
 
 from .distributions import Beta, Distribution, PointMass, TabulatedCdf
 from .errors import DomainError, NumericError, StageError, parse_number
-from .fractional import (QuadratureConfig, _gauss_kronrod, _law_integral, _quad_on_access,
-                         _start_parts, _stieltjes, power_weight)
+from .fractional import (QuadratureConfig, _engine_start, _gauss_kronrod, _law_integral,
+                         _quad_on_access, _stieltjes, power_weight)
 
 __all__ = [
     "ScalingParams",
@@ -125,10 +125,11 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     (see _node_map), s in [K(x/r_H), K(x/l_H)] with K the Kumaraswamy CDF.
     All points go through one call of fractional._gauss_kronrod, whose
     end-flat map of the piece absorbs the inverse-square-root singularity a
-    density can leave at a piece end (Beta(1.5, .5) at r_H); each piece
-    starts as the fractional._start_parts(cfg.limit) subintervals of weyl
-    mode's analytic pieces.  The first failure of cfg.check_points in grid
-    order names ``what`` and x.
+    density can leave at a piece end (Beta(1.5, .5) at r_H).  A tabulated
+    H's knots k, its density's corners, cut the piece at s = K(x/k) as in
+    weyl mode.  fractional._engine_start starts an analytic H's piece as 4
+    subintervals and a tabulated H's pieces whole.  The first failure of
+    cfg.check_points in grid order names ``what`` and x.
     """
     def kumaraswamy_cdf(b):
         with np.errstate(divide="ignore"):
@@ -151,6 +152,13 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
         if kind == "sf":
             value = sc.betaincc(alpha, beta, b_hi)
     owner = (s_hi > s_lo).nonzero()[0]
+    s_lo, s_hi, (limit, parts) = s_lo[owner], s_hi[owner], _engine_start(cfg, False)
+    if isinstance(H, TabulatedCdf):  # the interior knots k cut at s = K(min(x/k, 1))
+        cuts = kumaraswamy_cdf(np.minimum(x[owner, None] / H.grid[-2:0:-1], 1.0))
+        edges = np.column_stack([s_lo, cuts, s_hi])
+        piece, j = (edges[:, 1:] > edges[:, :-1]).nonzero()
+        owner, s_lo, s_hi = owner[piece], edges[piece, j], edges[piece, j + 1]
+        limit, parts = _engine_start(cfg, True, owner, n)
     empty = 1.0 if kind == "cdf" else 0.0     # g(inf)
     law = getattr(H, kind)
     scale = _kumaraswamy_ratio_scale(alpha, beta)
@@ -168,8 +176,8 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
             vals = vals / bb
         return (vals if whole else np.where(finite, vals, empty)) * weight
 
-    value, error = _gauss_kronrod(integrand, owner, s_lo[owner], s_hi[owner], n, cfg.atol,
-                                  cfg.rtol, cfg.limit, value, parts=_start_parts(cfg.limit))
+    value, error = _gauss_kronrod(integrand, owner, s_lo, s_hi, n, cfg.rtol, limit, value,
+                                  parts=parts)
     cfg.check_points(x, value, error, what or (
         "mixture density quadrature" if kind == "pdf" else "mixture quadrature"))
     return value

@@ -1,8 +1,8 @@
 """The accuracy atlas: values far below 1 against mpmath, at one relative gate.
 
-QuadratureConfig holds an integral's error estimate to atol + rtol*|value|
-with atol = 0 by default, QUADPACK's epsabs/epsrel rule, so a tiny value
-must keep its leading digits.  The atlas holds points where an absolute
+QuadratureConfig holds an integral's error estimate to rtol*|value|,
+QUADPACK's epsrel rule with no absolute term, so a tiny value must keep its
+leading digits.  The atlas holds points where an absolute
 target would let them go: the cdf of the sweep's laws at small x in both
 modes, a survivor of order 1e-40 and a weyl integral of order 1e-17.  Their
 mpmath references are stored in tests/data/accuracy_atlas.json, so that no
@@ -96,10 +96,9 @@ def test_atlas_points_meet_the_relative_gate(mode):
 
 
 # ---------------------------------------------------------------------------
-# the check's contract: err <= atol + rtol*|value|, atol 0 by default
+# the check's contract: err <= rtol*|value|
 
 def test_check_has_no_absolute_floor():
-    assert QuadratureConfig().atol == 0.0
     with pytest.raises(NumericError, match="exceeds tolerance"):
         QuadratureConfig().check(1e-20, 1e-15, "probe")
 

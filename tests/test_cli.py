@@ -265,7 +265,8 @@ REPLAY_DIR = os.path.join(os.path.dirname(__file__), "data", "replay")
 @pytest.mark.parametrize("name", [
     "est.json", "sample.csv", "inv.csv", "eval.json", "mda.json", "weyl.json",
     "stieltjes.json", "fwd_weyl.csv", "fwd_mixture.csv", "inv_default.csv",
-    "tail.json", "sim.csv", "cond_point.json", "cond_quad.json", "cond_mc.json"])
+    "tail.json", "sim.csv", "cond_point.json", "cond_quad.json", "cond_mc.json",
+    "fwd_uu_mixture.csv"])
 def test_check_replays_captured_outputs(monkeypatch, capsys, name):
     # outputs written by an earlier version of the code: the current one
     # must reproduce them byte for byte

@@ -1,18 +1,23 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+import betascale.fractional as fractional
 from betascale import (
     DomainError,
     EllipticalModel,
+    Exponential,
     Gamma,
     Kotz,
     NoDensityError,
+    NumericError,
     PointMass,
+    QuadratureConfig,
     Rayleigh,
     TabulatedCdf,
     conditional_density_point,
@@ -153,6 +158,62 @@ def test_exceed_pointmass_arc_geometry():
     val = conditional_sf_exceed(m, 0.5, 0.5)
     a = math.acos(0.5)
     assert val == pytest.approx((a - (math.pi / 2 - a)) / (2 * a), abs=1e-10)
+
+
+def _gauss_exceed_ref(rho, x, y):
+    """P(V > y | U > x) for a standard bivariate normal (U, V) of correlation
+    rho, by mpmath: int_x^inf phi(u) Phi_bar((y - rho*u)/sqrt(1 - rho^2)) du
+    over Phi_bar(x)."""
+    with mp.workdps(30):
+        r = mp.mpf(rho)
+        rc = mp.sqrt(1 - r * r)
+        num = mp.quad(lambda u: mp.npdf(u) * mp.ncdf((r * u - y) / rc), [x, x + 2, mp.inf])
+        return float(num / mp.ncdf(-mp.mpf(x)))
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.3, 0.0, 0.9])
+def test_exceed_quadrature_matches_the_gaussian_oracle(rho):
+    # a Rayleigh(1) radial makes (U, V) standard bivariate normal; the worst
+    # of these 28 cases is 1.04e-10 relative
+    m = EllipticalModel(rho, Rayleigh(1.0))
+    for x, y in ((1.0, 0.5), (-0.5, 0.3), (2.0, 1.0), (4.0, 2.5), (3.0, -1.0), (0.0, 0.0),
+                 (6.0, 3.0)):
+        assert conditional_sf_exceed(m, x, y, method="quadrature") == pytest.approx(
+            _gauss_exceed_ref(rho, x, y), rel=fractional._RELATIVE_CFG.rtol)
+
+
+def test_quadrature_failure_names_the_conditioning_level():
+    # the integrals' own lower limit is the x of the message: 0 for both here
+    m = EllipticalModel(0.5, Kotz(2.0, 1.0, 0.5, 2.0))
+    tight = QuadratureConfig(rtol=1e-15, limit=1)
+    with pytest.raises(NumericError, match=r"^arc mass given U > -0\.5 at x=0\.0: "):
+        conditional_sf_exceed(m, -0.5, 0.3, cfg=tight)
+    with pytest.raises(NumericError, match=r"^conditional normalizer given U = 2\.0 at x=0\.0: "):
+        conditional_density_point(m, 2.0, 0.0, cfg=tight)
+
+
+# the exceedance cases whose engine rounds are counted, here and in CI
+EXCEED_CASES = [(R, rho, x, y) for R in (Rayleigh(1.0), Kotz(2.0, 1.0, 0.5, 2.0), Exponential(1.0))
+                for rho in (0.0, 0.5)
+                for x, y in ((0.5, 0.2), (1.0, 0.5), (2.0, 1.0), (-0.5, 0.3), (3.0, -1.0))]
+
+
+def exceedance_qk21_calls():
+    """Mean qk21 calls per exceedance quadrature over EXCEED_CASES."""
+    calls, qk21 = [], fractional._qk21
+    fractional._qk21 = lambda f, half: calls.append(1) or qk21(f, half)
+    try:
+        for R, rho, x, y in EXCEED_CASES:
+            conditional_sf_exceed(EllipticalModel(rho, R), x, y, method="quadrature")
+    finally:
+        fractional._qk21 = qk21
+    return len(calls) / len(EXCEED_CASES)
+
+
+def test_exceedance_quadrature_takes_few_engine_rounds():
+    # 11.6 with the kernel integral's start rules, 16.0 under the
+    # elliptical layer's own one-part start
+    assert exceedance_qk21_calls() <= 12.0
 
 
 def test_exceed_deep_tail_importance_sampling():

@@ -328,13 +328,13 @@ def test_tabulated_stage_starts_from_whole_pieces(monkeypatch):
 # ---------------------------------------------------------------------------
 # the engine's round loop against its frozen unpruned form
 
-def unpruned_gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=None, parts=1,
+def unpruned_gauss_kronrod(fn, owner, lo, hi, n, rtol, limit, value=None, parts=1,
                            affine=False, first=None):
     """fractional._gauss_kronrod before its rounds were pruned: every round
     concatenates its chunks' results, tests every subinterval for a split
     and takes its midpoint, adds the retired integrals' sums and counts
     each integral's subintervals against its limit.  Its stop test is the
-    engine's, epsabs + epsrel*|value|."""
+    engine's, rtol*|value|."""
     _GK_X, _GK_CHUNK, _EPS, _TINY = (fractional._GK_X, fractional._GK_CHUNK, fractional._EPS,
                                      fractional._TINY)
     value = np.zeros(n) if value is None else value
@@ -386,7 +386,7 @@ def unpruned_gauss_kronrod(fn, owner, lo, hi, n, epsabs, epsrel, limit, value=No
         point = owner[piece]
         total = value + np.bincount(point, weights=val, minlength=n)
         etotal = np.bincount(point, weights=err, minlength=n)
-        short = ((etotal > epsabs + epsrel * np.abs(total))
+        short = ((etotal > rtol * np.abs(total))
                  & (np.bincount(point, minlength=n) < limit))
         if not short.any():
             return total, error + etotal
@@ -429,7 +429,7 @@ def engine_results(monkeypatch, engine, call, parts=None):
         return val, err
 
     with monkeypatch.context() as m:
-        for module in (fractional, scaling, elliptical):
+        for module in (fractional, scaling):
             m.setattr(module, "_gauss_kronrod", spy)
         try:
             out = call()
@@ -464,7 +464,7 @@ def test_pruned_rounds_are_bit_identical_on_mixture_calls_at_fixed_parts(monkeyp
     # a tight tolerance and small limits make integrals stop at their limit,
     # a single point in the round its subintervals reach it, and several
     # points while others in the same call retire or split
-    for cfg in (None, QuadratureConfig(atol=1e-14, rtol=1e-12, limit=7),
+    for cfg in (None, QuadratureConfig(rtol=1e-12, limit=7),
                 QuadratureConfig(limit=3)):
         for H in (Beta(1.5, 0.5), Pareto(2.0, 1.0), Gamma(2.5, 1.5)):
             for fn in (forward_cdf, forward_pdf):

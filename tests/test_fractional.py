@@ -74,7 +74,7 @@ def test_differentiation_identity():
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_tolerance_failure_reports_estimate():
-    cfg = QuadratureConfig(atol=1e-13, rtol=1e-13, limit=1)
+    cfg = QuadratureConfig(rtol=1e-13, limit=1)
     with pytest.raises(NumericError) as err:
         weyl_integral(lambda y: np.cos(40.0 * y) * np.exp(-y), 0.5, 1.0, cfg=cfg)
     assert err.value.estimate is not None

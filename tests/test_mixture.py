@@ -113,6 +113,25 @@ def test_mixture_matches_weyl(H, a, b, xs):
         assert np.max(np.abs(mix - weyl)) <= tol
 
 
+def test_mixture_cuts_a_tabulated_law_at_its_knots():
+    # the table's density has corners at its knots: one uncut piece per point
+    # missed the tolerance at x = 0.01, 0.05, 0.2 and 1.0
+    T = forward_tabulated(Exponential(1.0), 1.0, 1.5, n_points=120)
+    xs = np.array([0.01, 0.05, 0.2, 1.0, 3.0])
+    for fn in (forward_pdf, forward_sf):
+        assert fn(T, 1.5, 0.7, xs, mode="mixture") == pytest.approx(fn(T, 1.5, 0.7, xs),
+                                                                     rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="weyl mode's cdf integrates values[-1] above grid[-1], "
+                   "both modes' sf and mixture mode's cdf end the law at grid[-1]")
+def test_tabulated_cdf_and_sf_sum_to_one_above_the_grid():
+    # they sum to 1 - 4.3e-7, where values[-1] is 1 - 3.4e-6
+    T = forward_tabulated(Exponential(1.0), 1.0, 1.5, n_points=120)
+    assert forward_cdf(T, 1.5, 0.7, 3.0) + forward_sf(T, 1.5, 0.7, 3.0) == pytest.approx(
+        1.0, abs=1e-9)
+
+
 def test_mixture_relative_accuracy_in_far_tail():
     # the tails layer's configuration
     cfg = _RELATIVE_CFG
@@ -173,7 +192,7 @@ def test_kernel_integral_on_a_grid_matches_per_point_calls(beta):
     F = _tabulated()
     fn = lambda y: y ** -2.5 * F.sf(y)
     xs = np.concatenate([np.geomspace(1e-3, 0.9 * F.upper, 60), [F.upper, 2.0 * F.upper]])
-    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    cfg = QuadratureConfig(rtol=1e-6)
     vals = _law_integral(fn, F, beta, xs, F.upper, cfg, "probe")
     singles = [_law_integral(fn, F, beta, np.array([x]), F.upper, cfg, "probe")[0] for x in xs]
     assert np.array_equal(vals, singles)
@@ -187,15 +206,14 @@ def test_kernel_integral_on_a_grid_matches_per_point_calls(beta):
 @pytest.mark.parametrize("base,lam", [(1.5, 0.5), (1.0, 0.75), (2.0, 0.2)])
 def test_whole_grid_step_matches_per_point_step(base, lam):
     F = _tabulated()
-    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    cfg = QuadratureConfig(rtol=1e-6)
     grid = np.union1d(np.geomspace(1e-3, 6.0, 40), F.grid[::7])
     batched = _full_step(F, base, lam, grid, cfg)
     single = np.array([_full_step(F, base, lam, float(x), cfg) for x in grid])
     assert np.array_equal(batched, single)
     # the two-operator formula through the public scalar operators, whose
     # weyl_integral maps every piece by the smoothstep; each integral stops
-    # at cfg's own atol + rtol*|value|, and the two forms agree to 1 % of
-    # atol (8.2e-10 at worst)
+    # at cfg's own rtol*|value|, and the two forms agree to 8.2e-10 at worst
     delta = 1.0 - lam
     sf_term = lambda y: y ** (-base - 1.0) * F.sf(y)
     ref = [min(1.0, math.exp(sc.gammaln(base) - sc.gammaln(base + lam)) * x ** (base + lam)
@@ -207,7 +225,7 @@ def test_whole_grid_step_matches_per_point_step(base, lam):
 
 def test_whole_grid_step_per_point_paths():
     # delta = 0 and analytic laws take the points one at a time
-    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    cfg = QuadratureConfig(rtol=1e-6)
     grid = np.array([0.1, 0.5, 2.0])
     for F, lam in ((_tabulated(), 1.0), (Exponential(1.0), 0.5)):
         ref = [_full_step(F, 1.0, lam, float(x), cfg) for x in grid]
@@ -219,7 +237,7 @@ class _FailAt(QuadratureConfig):
     ``xs``, whether the stage checks it in its batch or point by point."""
 
     def __init__(self, **failing):
-        super().__init__(atol=1e-6, rtol=1e-6)
+        super().__init__(rtol=1e-6)
         self.failing = failing
 
     def check(self, value, err, what):
@@ -268,7 +286,7 @@ def _counting(F):
 def test_failing_stage_evaluates_each_cell_node_once():
     F, seen = _counting(_tabulated())
     grid = np.geomspace(0.01, 5.0, 30)
-    _full_step(F, 1.0, 0.7, grid, QuadratureConfig(atol=1e-6, rtol=1e-6), stage=1)
+    _full_step(F, 1.0, 0.7, grid, QuadratureConfig(rtol=1e-6), stage=1)
     passing = dict(seen)
     assert passing["sf_pdf"] > 0 and passing["sf"] == passing["pdf"] == 0
     for name in seen:
@@ -282,7 +300,7 @@ def test_failing_stage_evaluates_each_cell_node_once():
 
 
 def test_order_zero_stage_is_the_closed_form_on_the_grid():
-    cfg = QuadratureConfig(atol=1e-6, rtol=1e-6)
+    cfg = QuadratureConfig(rtol=1e-6)
     grid = np.geomspace(0.01, 5.0, 30)
     for F in (_tabulated(), Exponential(1.3)):
         for base in (1.0, 2.5):
@@ -312,11 +330,11 @@ def test_numeric_error_carries_the_named_point():
     assert err.value.x == 0.5
     with pytest.raises(NumericError, match=r"^chain_forward level 1 at x=1\.3: ") as err:
         chain_forward(Exponential(1.0), [(2.0, 0.7)], 1.3,
-                      cfg=QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2))
+                      cfg=QuadratureConfig(rtol=1e-15, limit=2))
     assert err.value.x == 1.3
     with pytest.raises(NumericError, match=r"^chain_forward level 1 at x=") as err:
         chain_forward(Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)], 1.3,
-                      cfg=QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2))
+                      cfg=QuadratureConfig(rtol=1e-15, limit=2))
     assert f"at x={err.value.x}: " in str(err.value)
     # an analytic law runs its stage through the engine, one integral per point
     grid = np.array([0.1, 0.5, 2.0])
@@ -385,7 +403,7 @@ class _Unchecked(QuadratureConfig):
         pass
 
 
-SWEEP_REF = _Unchecked(atol=1e-16, rtol=1e-13, limit=2000)
+SWEEP_REF = _Unchecked(rtol=1e-13, limit=2000)
 # (law index in test_engine._LAWS, alpha, beta, kind, index in SWEEP_X) of
 # the points over the gate before the forward operators shared one engine
 # start: the small-x misses, where the onset of g(x/b) lies near s = 0

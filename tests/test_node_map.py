@@ -31,8 +31,9 @@ class _One(Distribution):
 @pytest.mark.parametrize("beta", GRID)
 def test_weight_integrates_to_one(alpha, beta):
     # a tolerance below the weight's own quadrature error, so that what is
-    # left is the map: E[1] = 1 exactly under Beta(alpha, beta)
-    cfg = QuadratureConfig(atol=1e-14, rtol=1e-14)
+    # left is the map: E[1] = 1 exactly under Beta(alpha, beta).  At the
+    # value 1, rtol 2e-14 is the target of an absolute 1e-14 plus rtol 1e-14
+    cfg = QuadratureConfig(rtol=2e-14)
     vals = _mixture(_One(), alpha, beta, np.array([0.2, 1.0, 7.0]), "cdf", cfg)
     assert np.max(np.abs(vals - 1.0)) <= 1e-13
 
@@ -185,7 +186,7 @@ def test_forward_array_bit_equal_to_point_calls(mode):
 
 
 def test_chain_checks_every_level():
-    cfg = QuadratureConfig(atol=1e-15, rtol=1e-15, limit=2)
+    cfg = QuadratureConfig(rtol=1e-15, limit=2)
     with pytest.raises(NumericError, match=r"^chain_forward level \d at x=[0-9.e+-]+: ") as err:
         chain_forward(Exponential(1.0), [(1.0, 0.5), (2.0, 0.7)], 1.3, cfg=cfg)
     assert err.value.estimate is not None

@@ -43,7 +43,7 @@ def uu_cdf(x):
 def test_forward_cdf_pointmass_is_beta():
     from betascale import QuadratureConfig
 
-    cfg = QuadratureConfig(atol=1e-13, rtol=1e-12)
+    cfg = QuadratureConfig(rtol=1e-12)
     for alpha, beta in [(2.0, 2.0), (1.0, 0.5), (3.0, 1.7)]:
         for x in (0.1, 0.5, 0.9):
             val = forward_cdf(PointMass(1.0), alpha, beta, x, mode="mixture", cfg=cfg)

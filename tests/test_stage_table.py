@@ -51,8 +51,8 @@ def u_map_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
     parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
-    val, err = fractional._gauss_kronrod(fn, owner, lo, hi, x.size, cfg.atol / scale, cfg.rtol,
-                                         limit, parts=parts, affine=affine and beta <= 1.0)
+    val, err = fractional._gauss_kronrod(fn, owner, lo, hi, x.size, cfg.rtol, limit,
+                                         parts=parts, affine=affine and beta <= 1.0)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)
     return val
@@ -112,8 +112,8 @@ def no_table_kernel_integral(h, knots, beta, x, upper, cfg, what, affine=False):
     limit = np.where(count > 1, np.maximum(cfg.limit, 3 * (count - 1) + 50), cfg.limit)
     parts = 4 if not affine and knots.size <= 2 and cfg.limit >= 4 else 1
     scale = math.exp(-sc.gammaln(beta)) / min(beta, 1.0)
-    val, err = fractional._gauss_kronrod(fn, owner, lo, hi, x.size, cfg.atol / scale, cfg.rtol,
-                                         limit, parts=parts, affine=affine and beta <= 1.0)
+    val, err = fractional._gauss_kronrod(fn, owner, lo, hi, x.size, cfg.rtol, limit,
+                                         parts=parts, affine=affine and beta <= 1.0)
     val, err = scale * val, scale * err
     cfg.check_points(x, val, err, what)
     return val
