@@ -49,10 +49,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # special functions
 
+def _positive_finite(*values):
+    """True when every value lies in (0, inf); NaN never does."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 def ln_gamma(x):
     """log Gamma(x) for x > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise DomainError("ln_gamma requires x > 0")
     out = sc.gammaln(x)
     return float(out) if out.ndim == 0 else out
@@ -60,10 +65,10 @@ def ln_gamma(x):
 
 def reg_inc_beta(a, b, x):
     """Regularized incomplete beta: P(B_{a,b} <= x) for x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta parameters must be positive")
+    if not _positive_finite(a, b):
+        raise DomainError("beta parameters must be positive and finite")
     xa = np.asarray(x, dtype=float)
-    if np.any((xa < 0) | (xa > 1)):
+    if not np.all((xa >= 0) & (xa <= 1)):
         raise DomainError("reg_inc_beta requires x in [0, 1]")
     out = sc.betainc(a, b, xa)
     return float(out) if out.ndim == 0 else out
@@ -71,10 +76,10 @@ def reg_inc_beta(a, b, x):
 
 def beta_moment(alpha, beta, gamma):
     """E[B_{alpha,beta}^gamma] = Gamma(a+b)Gamma(a+g) / (Gamma(a)Gamma(a+b+g))."""
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("beta parameters must be positive")
-    if gamma < 0:
-        raise DomainError("moment order must be nonnegative")
+    if not _positive_finite(alpha, beta):
+        raise DomainError("beta parameters must be positive and finite")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("moment order must be nonnegative and finite")
     return math.exp(
         sc.gammaln(alpha + beta) + sc.gammaln(alpha + gamma)
         - sc.gammaln(alpha) - sc.gammaln(alpha + beta + gamma)
@@ -153,8 +158,8 @@ class WeibullTailModel:
     theta: float
 
     def __post_init__(self):
-        if self.r <= 0 or self.theta <= 0:
-            raise DomainError("Weibull tail model requires r > 0 and theta > 0")
+        if not _positive_finite(self.r, self.theta):
+            raise DomainError("Weibull tail model requires finite r > 0 and theta > 0")
 
     def sf(self, x):
         return np.exp(-self.r * np.asarray(x, dtype=float) ** self.theta)
@@ -258,8 +263,8 @@ def _bisect(right_of, lo, hi, width):
 
 class Uniform(Distribution):
     def __init__(self, a=0.0, b=1.0):
-        if not b > a:
-            raise DomainError("uniform requires b > a")
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise DomainError("uniform requires finite ends with b > a")
         self.a, self.b = float(a), float(b)
         self.lower, self.upper = self.a, self.b
 
@@ -279,8 +284,8 @@ class Uniform(Distribution):
 
 class Beta(Distribution):
     def __init__(self, a, b):
-        if a <= 0 or b <= 0:
-            raise DomainError("beta requires positive parameters")
+        if not _positive_finite(a, b):
+            raise DomainError("beta requires positive finite parameters")
         self.a, self.b = float(a), float(b)
         self.lower, self.upper = 0.0, 1.0
 
@@ -307,8 +312,8 @@ class Beta(Distribution):
 
 class Gamma(Distribution):
     def __init__(self, shape, rate):
-        if shape <= 0 or rate <= 0:
-            raise DomainError("gamma requires positive shape and rate")
+        if not _positive_finite(shape, rate):
+            raise DomainError("gamma requires positive finite shape and rate")
         self.shape, self.rate = float(shape), float(rate)
 
     def cdf(self, x):
@@ -342,8 +347,8 @@ class Gamma(Distribution):
 
 class Exponential(Distribution):
     def __init__(self, rate=1.0):
-        if rate <= 0:
-            raise DomainError("exponential requires positive rate")
+        if not _positive_finite(rate):
+            raise DomainError("exponential requires a positive finite rate")
         self.rate = float(rate)
 
     def cdf(self, x):
@@ -369,8 +374,8 @@ class Pareto(Distribution):
     """sf(x) = (x / xmin)**(-gamma) for x >= xmin."""
 
     def __init__(self, gamma_, xmin=1.0):
-        if gamma_ <= 0 or xmin <= 0:
-            raise DomainError("pareto requires positive index and xmin")
+        if not _positive_finite(gamma_, xmin):
+            raise DomainError("pareto requires positive finite index and xmin")
         self.gamma_, self.xmin = float(gamma_), float(xmin)
         self.lower = self.xmin
 
@@ -404,8 +409,8 @@ class Rayleigh(Distribution):
     """sf(x) = exp(-x^2 / (2 sigma^2))."""
 
     def __init__(self, sigma=1.0):
-        if sigma <= 0:
-            raise DomainError("rayleigh requires positive sigma")
+        if not _positive_finite(sigma):
+            raise DomainError("rayleigh requires a positive finite sigma")
         self.sigma = float(sigma)
 
     def cdf(self, x):
@@ -439,8 +444,8 @@ class Kotz(Distribution):
     """
 
     def __init__(self, m, n_exp, r, theta):
-        if m <= 0 or r <= 0 or theta <= 0:
-            raise DomainError("kotz requires M, r, theta > 0")
+        if not (_positive_finite(m, r, theta) and math.isfinite(n_exp)):
+            raise DomainError("kotz requires finite M, r, theta > 0 and a finite N")
         self.m, self.n_exp = float(m), float(n_exp)
         self.r, self.theta = float(r), float(theta)
         self.x0 = self._crossing()

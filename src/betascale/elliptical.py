@@ -141,6 +141,8 @@ def _importance_draws(m: EllipticalModel, x, n, rng):
     arcs {phi: r*cos(phi) > x}, and V at an angle uniform inside each arc.
     A draw stands for mass proportional to a; draws with an empty arc are
     dropped."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
     sx = float(m.radial.sf(x))
     if sx <= 0.0:
         raise DomainError("conditioning event has probability below floating-point range")
@@ -170,50 +172,36 @@ def _arc_integral(m: EllipticalModel, x, arc, ends, cfg, what):
                                   m.radial.upper, cfg, f"{what} given U > {x}")[0])
 
 
-def _arc_mass(m: EllipticalModel, x, cfg):
-    """2*pi * P(U > x): the integral of 2 a(r) f_R(r) over r > x, with a(r)
-    the half-width of the arc {phi: r*cos(phi) > x}; None when no radius
-    exceeds x.  The kink of a(r) at r = |x| is a piece end."""
-    if isinstance(m.radial, PointMass):
-        mass = 2.0 * float(_half_widths(x, m.radial.c))
-        return mass if mass > 0.0 else None
-    return _arc_integral(m, x, lambda r: 2.0 * _half_widths(x, r), (abs(x),), cfg, "arc mass")
-
-
 def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
+    """P(V > y | U > x) as the joint arc mass over the arc mass 2*pi*P(U > x):
+    integrals of the arcs' overlap and of 2 a(r) against f_R(r) over r > x,
+    with a(r) the half-width of the arc {phi: r*cos(phi) > x}.  The kinks at
+    r = |x| and r = |y| are piece ends."""
     phi0 = math.acos(m.rho)
 
     def joint_arc(r):
         return _arc_overlap(phi0, _half_widths(x, r), _half_widths(y, r))
 
-    den = _arc_mass(m, x, cfg)
+    if isinstance(m.radial, PointMass):
+        den = 2.0 * float(_half_widths(x, m.radial.c))
+        if den == 0.0:
+            raise DomainError("conditioning event has probability zero")
+        return float(joint_arc(m.radial.c)) / den
+    den = _arc_integral(m, x, lambda r: 2.0 * _half_widths(x, r), (abs(x),), cfg, "arc mass")
     if den is None:
         raise DomainError("conditioning event has probability zero")
-    if isinstance(m.radial, PointMass):
-        return float(joint_arc(m.radial.c)) / den
-    num = _arc_integral(m, x, joint_arc, (abs(x), abs(y)), cfg, "joint arc mass")
-    if den <= 0.0 or den < 1e-280:
+    if den < 1e-280:
         raise NumericError(
             "conditioning probability vanished numerically; lower x", estimate=den)
+    num = _arc_integral(m, x, joint_arc, (abs(x), abs(y)), cfg, "joint arc mass")
     return min(max(num / den, 0.0), 1.0)
 
 
 def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
-    """Monte Carlo estimate; switches to radius-importance sampling when the
-    conditioning probability is too small for plain rejection."""
-    p_exceed = (_arc_mass(m, x, _RELATIVE_CFG) or 0.0) / (2.0 * math.pi)
-    if p_exceed >= 1e-4:
-        pairs = sample_elliptical(m, n, seed)
-        keep = pairs[:, 0] > x
-        kept = int(keep.sum())
-        if kept == 0:
-            raise NumericError("no exceedances in the sample; increase n or lower x")
-        est = float(np.mean(pairs[keep, 1] > y))
-        se = math.sqrt(max(est * (1 - est), 1e-12) / kept)
-        return est, se
-    # importance: draw R | R > x, then the angle uniformly inside its arc
+    """(estimate, standard error) of P(V > y | U > x) from n importance
+    draws: R | R > x, each weighted by its arc half-width, the angle uniform
+    inside the arc.  Valid at every x: below 0 the radii are unconditioned."""
     _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=1))
-    # each draw represents mass proportional to its arc width a
     hit = v > y
     den = float(np.sum(a))
     est = float(np.sum(a * hit)) / den
@@ -226,8 +214,11 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
                           n=100_000, seed=0, cfg=None):
     """P(V > y | U > x), by angular-arc quadrature or Monte Carlo.
 
-    The Monte Carlo path returns only the estimate; its standard error is in
-    reach via the private helper when needed by diagnostics.
+    The Monte Carlo path is one importance sampler at every x: n >= 1 radii
+    from R | R > x, each weighted by its arc half-width arccos(x/R) (pi for
+    R <= -x), the angle uniform inside the arc.  It returns only the
+    estimate; ``_exceed_montecarlo`` also gives the self-normalised standard
+    error.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("conditioning level and threshold must be finite")
@@ -263,11 +254,14 @@ def convergence_diagnostic(m: EllipticalModel, x_grid, t_grid=None,
     """
     if isinstance(m.radial, PointMass):
         raise NoDensityError("diagnostic needs an absolutely continuous radial law")
+    x_grid = np.asarray(x_grid, dtype=float)
+    if not np.all((x_grid > 0) & (x_grid < math.inf)):
+        raise DomainError("conditioning levels must be positive and finite")
     w = w or m.scaling_w()
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     rho_c = math.sqrt(1.0 - m.rho ** 2)
     exceed_sup, point_sup = [], []
-    for ix, x in enumerate(np.asarray(x_grid, dtype=float)):
+    for ix, x in enumerate(x_grid):
         cx = math.sqrt(float(w(x)) / x)
         # exceedance side: weighted sample of V given U > x
         _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=100 + ix))

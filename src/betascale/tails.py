@@ -68,10 +68,21 @@ def _classed(H, label, who):
     return m
 
 
+def _tail_x(x, top=math.inf):
+    """The tail argument x after checking that it lies in (0, top); NaN
+    never does."""
+    if not 0.0 < x < top:
+        raise DomainError(f"tail argument x must lie in (0, {top:g}), got {x!r}")
+    return x
+
+
 def _point(m, x):
     """Where a class-m law is evaluated for the tail argument x: x itself, or
-    in the Weibull class r_H*(1 - x), the fraction x below the endpoint."""
-    return m.r_upper * (1.0 - x) if m.label == "weibull" else x
+    in the Weibull class r_H*(1 - x), the fraction x in (0, 1) below the
+    endpoint."""
+    if m.label == "weibull":
+        return m.r_upper * (1.0 - _tail_x(x, 1.0))
+    return _tail_x(x)
 
 
 def _prediction(H, alpha, beta, x, cfg, label):
@@ -259,6 +270,7 @@ def biased_tail_asymptote(H, q, c, x, kind):
     """
     if c <= 0:
         raise DomainError("proportionality constant must be positive")
+    _tail_x(x)
     if kind == "size_biased":
         return c * x ** q * float(H.sf(x))
     if kind == "stationary_excess":
@@ -270,6 +282,8 @@ def biased_tail_asymptote(H, q, c, x, kind):
 def max_stability_check(H, n, t_grid=None):
     """Sup distance between the law of the normalized sample maximum and its
     extreme value limit over t_grid."""
+    if not 1 <= n < math.inf:
+        raise DomainError(f"sample size n must be finite and >= 1, got {n!r}")
     m = H.mda()
     if m.label == "unclassified":
         raise DomainError("unclassified law has no extreme value limit")

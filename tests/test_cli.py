@@ -408,6 +408,19 @@ def test_tail_ratio_unclassified_table(tmp_path, capsys):
     assert main(argv + ["--mda", "gumbel"]) == 64
 
 
+@pytest.mark.parametrize("x", ["1", "4"])
+def test_montecarlo_sample_size_zero_exits_1(tmp_path, capsys, x):
+    # one sampler at every level, so one error at P(U > x) = 0.16 and 3e-5
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({"family": "rayleigh", "sigma": 1.0}))
+    argv = ["ellip", "conditional", "--rho", "0.5", "--radial", str(ray), "--x", x,
+            "--kind", "exceed", "--y", "2.5", "--method", "montecarlo", "--n", "0",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample size must be >= 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["dist", "eval", "--what", "cdf", "--x", "nan"],
     ["dist", "eval", "--what", "pdf", "--x", "1,inf"],
@@ -505,6 +518,17 @@ def test_tail_ratio_where_both_survivors_underflow_exits_2(tmp_path, capsys):
     assert err.startswith("numeric failure: ") and "x = 40.0" in err and err.count("\n") == 1
     assert not out.exists()
     assert main(argv + ["--x", "20", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("x", ["0", "-0.1"])
+def test_tail_ratio_at_or_past_the_endpoint_exits_1(tmp_path, capsys, x):
+    # a Weibull-class x is the fraction below the endpoint, so it lies in (0, 1)
+    uni = tmp_path / "uni.json"
+    uni.write_text(json.dumps({"family": "uniform", "a": 0.0, "b": 1.0}))
+    argv = ["tail", "ratio", "--dist", str(uni), "--alpha", "1", "--beta", "1", "--x", x]
+    assert main(argv + ["--out", str(tmp_path / "tail.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tail argument x must lie in (0, 1)") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name,data,argv", [

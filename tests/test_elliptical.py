@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+import betascale.elliptical as elliptical
 import betascale.fractional as fractional
 from betascale import (
     DomainError,
@@ -158,6 +159,23 @@ def test_exceed_pointmass_arc_geometry():
     val = conditional_sf_exceed(m, 0.5, 0.5)
     a = math.acos(0.5)
     assert val == pytest.approx((a - (math.pi / 2 - a)) / (2 * a), abs=1e-10)
+    # P(U > 0.5) = 1/3: the Monte Carlo estimate holds the same geometry
+    est, se = elliptical._exceed_montecarlo(m, 0.5, 0.5, 100_000, 5)
+    assert abs(est - val) <= 4 * se
+
+
+@pytest.mark.parametrize("x", [-1.0, 1.0, 2.0, 3.0, 3.5])
+def test_exceed_montecarlo_has_full_sample_precision_at_every_level(x):
+    # every draw lands in U > x, so the error is that of n draws wherever
+    # P(U > x) lies; plain rejection kept only that share of them and, with
+    # this seed, missed by 0.090 at x = 3 and 0.188 at x = 3.5.  Below 0 the
+    # radii are unconditioned
+    m = EllipticalModel(0.5, Rayleigh(1.0))
+    y = 0.5 * x + 0.3
+    q = conditional_sf_exceed(m, x, y)
+    mc = conditional_sf_exceed(m, x, y, method="montecarlo", n=100_000, seed=5)
+    se = math.sqrt(q * (1 - q) / 100_000)
+    assert abs(mc - q) <= max(4 * se, 1e-2)
 
 
 def _gauss_exceed_ref(rho, x, y):
@@ -270,6 +288,13 @@ def test_convergence_diagnostic_kotz_improves():
     assert point[-1] <= 0.05
     assert all(b <= a + noise for a, b in zip(exceed, exceed[1:]))
     assert all(b <= a + noise for a, b in zip(point, point[1:]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_convergence_diagnostic_checks_levels_before_sampling(bad, monkeypatch):
+    monkeypatch.setattr(elliptical, "_importance_draws", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(DomainError, match="positive and finite"):
+        convergence_diagnostic(GAUSS, [2.0, bad])
 
 
 def test_convergence_diagnostic_pointmass_rejected():

@@ -1,7 +1,9 @@
 """quantile and isf take probabilities in [0, 1]: NaN raises DomainError for
 every law, and so does a value beyond [0, 1], except for the tabulated and
 Kotz laws, which take it as the nearer end (tests/test_sample_arrays.py
-holds them to that).  The CLI maps the error to exit code 1."""
+holds them to that).  The CLI maps the error to exit code 1.  A law's own
+parameters, and those of the special functions, must be finite; NaN and
+infinity raise DomainError."""
 
 import json
 import math
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 from betascale import (Beta, DomainError, Exponential, Gamma, Kotz, Pareto, PointMass,
-                       Rayleigh, TabulatedCdf, Uniform, WeibullTailModel)
+                       Rayleigh, TabulatedCdf, Uniform, WeibullTailModel, beta_moment,
+                       ln_gamma, reg_inc_beta)
 from betascale.cli import main
 
 STRICT = {
@@ -85,3 +88,40 @@ def test_cli_quantile_out_of_range_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "probabilities in [0, 1]" in captured.err
+
+
+NAN, INF = math.nan, math.inf
+NONFINITE_PARAMETERS = {
+    "gamma shape nan": lambda: Gamma(NAN, 1.0),
+    "gamma rate inf": lambda: Gamma(2.0, INF),
+    "beta nan": lambda: Beta(NAN, 1.0),
+    "beta inf": lambda: Beta(1.0, INF),
+    "exponential nan": lambda: Exponential(NAN),
+    "exponential inf": lambda: Exponential(INF),
+    "pareto nan": lambda: Pareto(NAN),
+    "pareto xmin inf": lambda: Pareto(2.0, INF),
+    "rayleigh nan": lambda: Rayleigh(NAN),
+    "rayleigh inf": lambda: Rayleigh(INF),
+    "kotz M nan": lambda: Kotz(NAN, 0.0, 1.0, 2.0),
+    "kotz N nan": lambda: Kotz(1.0, NAN, 1.0, 2.0),
+    "kotz N -inf": lambda: Kotz(1.0, -INF, 1.0, 2.0),
+    "kotz theta inf": lambda: Kotz(1.0, 0.0, 1.0, INF),
+    "uniform b inf": lambda: Uniform(0.0, INF),
+    "uniform a -inf": lambda: Uniform(-INF, 1.0),
+    "uniform a nan": lambda: Uniform(NAN, 1.0),
+    "weibull tail model nan": lambda: WeibullTailModel(NAN, 1.0),
+    "weibull tail model inf": lambda: WeibullTailModel(1.0, INF),
+    "beta_moment nan": lambda: beta_moment(NAN, 1.0, 1.0),
+    "beta_moment order inf": lambda: beta_moment(1.0, 1.0, INF),
+    "reg_inc_beta nan": lambda: reg_inc_beta(NAN, 1.0, 0.5),
+    "reg_inc_beta x nan": lambda: reg_inc_beta(1.0, 1.0, [0.5, NAN]),
+    "ln_gamma nan": lambda: ln_gamma([2.0, NAN]),
+}
+
+
+@pytest.mark.parametrize("name", NONFINITE_PARAMETERS)
+def test_nonfinite_parameter_raises(name):
+    # each check once read v <= 0, which NaN passes: Gamma(nan, 1).cdf(0.5)
+    # was nan, Exponential(inf).cdf(0.5) was 1.0
+    with pytest.raises(DomainError):
+        NONFINITE_PARAMETERS[name]()

@@ -312,3 +312,37 @@ def test_max_stability_degenerate_law_raises(n):
     # a point mass's normalised maximum is the constant c: a_n = r_upper - c = 0
     with pytest.raises(DomainError, match="a_n = 0.0 is not positive"):
         max_stability_check(PointMass(2.0), n)
+
+
+# ---------------------------------------------------------------------------
+# domain: a tail argument lies in (0, inf), or in (0, 1) as a fraction below
+# a finite endpoint; a sample size is finite and >= 1
+
+BAD_TAIL_ARGUMENTS = {
+    "weibull x=0": lambda: predict_weibull(Uniform(0.0, 1.0), 1.0, 1.0, 0.0),
+    "weibull x=-0.1": lambda: predict_weibull(Uniform(0.0, 1.0), 1.0, 1.0, -0.1),
+    "weibull x=1": lambda: predict_weibull(Uniform(0.0, 1.0), 1.0, 1.0, 1.0),
+    "density ratio weibull x=0": lambda: density_ratio(Uniform(0.0, 1.0), 1.0, 1.0, 0.0, "weibull"),
+    "gumbel x=inf": lambda: predict_gumbel(Exponential(1.0), 1.0, 1.0, math.inf),
+    "frechet x=-2": lambda: predict_frechet(Pareto(2.0, 1.0), 1.0, 1.0, -2.0),
+    "fractional x=nan": lambda: fractional_asymptote(Exponential(1.0), 0.5, 0.0, math.nan,
+                                                     "gumbel", "J"),
+    "general multiplier x=nan": lambda: general_multiplier_tail(
+        Exponential(1.0), {"C": 1.0, "beta": 1.0}, math.nan, "gumbel", "I"),
+    "biased x=nan": lambda: biased_tail_asymptote(Exponential(1.0), 1.0, 1.0, math.nan,
+                                                  "size_biased"),
+    "biased x=0": lambda: biased_tail_asymptote(Rayleigh(1.0), 2.0, 1.0, 0.0, "stationary_excess"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TAIL_ARGUMENTS)
+def test_tail_argument_outside_its_range_raises(name):
+    with pytest.raises(DomainError, match="tail argument x must lie in"):
+        BAD_TAIL_ARGUMENTS[name]()
+
+
+@pytest.mark.parametrize("n", [0, 0.5, math.inf, math.nan])
+def test_max_stability_needs_a_finite_sample_size(n):
+    # n = 0 once ended in a ZeroDivisionError
+    with pytest.raises(DomainError, match="sample size n must be finite and >= 1"):
+        max_stability_check(Exponential(1.0), n)
