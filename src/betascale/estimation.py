@@ -10,6 +10,7 @@ function w(x) = r*theta*x**(theta-1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,8 @@ class SampleBatch:
     @classmethod
     def from_pairs(cls, pairs):
         pairs = np.asarray(pairs, dtype=float)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise DomainError(f"pairs must be an (n, 2) array, got shape {pairs.shape}")
         return cls(pairs[:, 0], pairs[:, 1])
 
 
@@ -66,8 +69,9 @@ class EstimatorConfig:
 
     def resolve_k(self, n):
         """k_n for a sample of n, capped at n // 3; an explicit k_n <= 0 or
-        a sample with n // 3 < 1 raises DomainError."""
-        if self.k_n is not None and self.k_n < 1:
+        a sample with n // 3 < 1 raises DomainError, as does a k_n that is
+        not an integer."""
+        if self.k_n is not None and not (isinstance(self.k_n, numbers.Integral) and self.k_n >= 1):
             raise DomainError(f"k_n must be a positive integer, got {self.k_n}")
         k = self.k_n if self.k_n is not None else int(math.ceil(n ** 0.6))
         k = min(k, n // 3)
@@ -113,35 +117,27 @@ def _run_starts(xs):
 
 def _tied_pairs(starts):
     """Number of pairs sharing a value, from the run starts of the sorted values."""
+    if starts.all():
+        return 0
     counts = np.diff(np.append(np.flatnonzero(starts), starts.size))
     return int(np.sum(counts * (counts - 1) // 2))
 
 
-def _dense_ranks(x):
-    """(ranks, starts): the rank of each value of ``x`` among its distinct
-    values, from one argsort, and the run starts of ``x`` sorted."""
-    order = np.argsort(x)
-    starts = _run_starts(x[order])
-    ranks = np.empty(x.size, dtype=np.int64)
-    ranks[order] = np.cumsum(starts) - 1
-    return ranks, starts
-
-
-_BLOCK_LEVELS = 4                # merge levels 0-3 are one pass over blocks of 16
+_BLOCK_LEVELS = 5                # merge levels 0-4 are one pass over blocks of 32
 _BLOCK = 1 << _BLOCK_LEVELS
 
 
 def _key_dtype(n):
     """The key dtype of ``_inversions`` on n ranks: a key (pair, rank, side)
     of merge level s takes 2*bits - s bits, where bits is the bit length of
-    n - 1, so level 4's keys, the widest, fit in uint32 for n <= 2**18."""
+    n - 1, so level 5's keys, the widest, fit in uint32 for n <= 2**18."""
     bits = max(int(n - 1).bit_length(), 1)
     return np.uint32 if 2 * bits - _BLOCK_LEVELS <= 32 else np.int64
 
 
 def _block_inversions(ranks):
-    """Inversions inside each block of 16 positions of int64 ``ranks`` (and
-    inside the shorter last block), from the ranks d = 1..15 apart."""
+    """Inversions inside each block of 32 positions of integer ``ranks`` (and
+    inside the shorter last block), from the ranks d = 1..31 apart."""
     m = ranks.size - ranks.size % _BLOCK
     # row i holds element i of every whole block, so each comparison is contiguous
     cols = ranks[:m].reshape(-1, _BLOCK).T.astype(np.int32, order="C")
@@ -150,28 +146,35 @@ def _block_inversions(ranks):
                + int(np.count_nonzero(tail[:-d] > tail[d:])) for d in range(1, _BLOCK))
 
 
+def _right_positions(n, s):
+    """Sum of the positions 0..n-1 with bit s set, the right blocks of merge
+    level s: q whole pairs of blocks of b = 2**s, then c positions more."""
+    b = 1 << s
+    q, r = divmod(n, 2 * b)
+    c = max(r - b, 0)
+    return (q * b * (2 * q * b + b - 1) + c * (4 * q * b + 2 * b + c - 1)) // 2
+
+
 def _inversions(ranks):
     """Number of strict inversions (ranks[i] > ranks[j], i < j) of integer
     ranks in [0, n), n < 2**31, by bottom-up merge levels.
 
-    Levels 0-3 are one pass over the blocks of 16 positions (and the shorter
-    last block): inside each, the ranks d = 1..15 positions apart are
-    compared directly.  Each later level s sorts every pair of blocks of
-    2**s positions at once, as keys (pair, rank, side).  An element of a
-    right block moves left by the number of larger elements of its left
-    block, which are its inversions across the two blocks; equal ranks keep
-    the left block first.  The moves do not depend on the order inside a
-    block, so the blocks of 16 are merged unsorted.  A level's count is the
-    positions of its right-block elements before the sort minus their
-    positions after it, each one int64 dot product; neither sum exceeds
-    n(n-1)/2 < 2**63.
-
-    The keys of every level are uint32 for n <= 2**18, where the widest of
-    them fits in 32 bits, and int64 above (``_key_dtype``).
+    The first ``_BLOCK_LEVELS`` levels are one pass over the blocks of
+    ``_BLOCK`` positions (``_block_inversions``).  Each later level s sorts
+    every pair of blocks of 2**s positions at once, as keys (pair, rank,
+    side).  An element of a right block moves left by the number of larger
+    elements of its left block, which are its inversions across the two
+    blocks; equal ranks keep the left block first.  The moves do not depend
+    on the order inside a block, so the first blocks are merged unsorted.
+    A level's count is the positions of its right-block elements before the
+    sort, a closed form in (n, s) (``_right_positions``), minus their
+    positions after it, one int64 dot product with the int64 side bits;
+    neither sum exceeds n(n-1)/2 < 2**63.  The keys are uint32 where the
+    widest of them fits in 32 bits, and int64 above (``_key_dtype``).
     """
     n = len(ranks)
     bits = max(int(n - 1).bit_length(), 1)
-    ranks = np.asarray(ranks, dtype=np.int64)
+    ranks = np.asarray(ranks)
     count = _block_inversions(ranks)
     dtype = _key_dtype(n)
     pos = np.arange(n, dtype=np.int64)
@@ -179,40 +182,55 @@ def _inversions(ranks):
     ranks2 = ranks.astype(dtype)
     ranks2 <<= 1
     key = np.empty(n, dtype=dtype)
-    side = np.empty(n, dtype=dtype)
+    bit = np.empty(n, dtype=dtype)
+    side = np.empty(n, dtype=np.int64)
     for s in range(_BLOCK_LEVELS, bits):
-        np.right_shift(at, s, out=side)
-        side &= 1                                    # 1 in right blocks
+        np.right_shift(at, s, out=bit)
+        bit &= 1                                     # 1 in right blocks
         np.right_shift(at, s + 1, out=key)
         key <<= bits + 1
         key |= ranks2
-        key |= side
-        count += int(pos @ side)                     # positions before the merge ...
+        key |= bit
         key.sort()
         np.bitwise_and(key, 1, out=side)
-        count -= int(pos @ side)                     # ... minus positions after it
+        count += _right_positions(n, s) - int(pos @ side)   # positions before - after
         np.bitwise_and(key, ((1 << bits) - 1) << 1, out=ranks2)
     return count
 
 
+def _sort_u_ties(su, seq):
+    """(seq, joint): v's ranks ``seq``, in the order of u sorted with run
+    starts ``su``, sorted by the int64 key (u rank, v rank) so that v ascends
+    within each run of tied u; and the number of pairs tied in both."""
+    key = (np.cumsum(su) - 1) * seq.size + seq
+    key.sort()
+    return key % seq.size, _tied_pairs(_run_starts(key))
+
+
 def kendall_rho(batch: SampleBatch):
-    """(tau, rho): tau with ties counted as zero, rho = sin(pi*tau/2)."""
+    """(tau, rho): tau with ties counted as zero, rho = sin(pi*tau/2).
+
+    v's dense ranks, gathered in u order from one argsort per column, have
+    the discordant pairs as strict inversions once v ascends within each run
+    of tied u (``_sort_u_ties``, run only when u has such a run)."""
     n = batch.n
     n0 = n * (n - 1) // 2
-    ru, su = _dense_ranks(batch.u)
+    ou = np.argsort(batch.u)
+    su = _run_starts(batch.u[ou])
     if not su[1:].any():
         raise DomainError("Kendall's tau undefined: all u values tied")
-    rv, sv = _dense_ranks(batch.v)
+    ov = np.argsort(batch.v)
+    sv = _run_starts(batch.v[ov])
     if not sv[1:].any():
         raise DomainError("Kendall's tau undefined: all v values tied")
-    # the pairs in (u, v) order: v is sorted within u-ties, so strict
-    # inversions of its ranks are exactly the discordant pairs;
-    # concordant = n0 - ties - discordant
-    key = ru * n + rv
-    key.sort()
-    disc = _inversions(key % n)
-    ties = _tied_pairs(su) + _tied_pairs(sv) - _tied_pairs(_run_starts(key))
-    tau = (n0 - ties - 2 * disc) / n0
+    rv = np.empty(n, dtype=np.int32)                 # n < 2**31, as _inversions needs
+    rv[ov] = np.cumsum(sv, dtype=np.int32) - 1
+    seq = rv[ou]
+    ties = _tied_pairs(sv)
+    if not su.all():
+        seq, joint = _sort_u_ties(su, seq)
+        ties += _tied_pairs(su) - joint
+    tau = (n0 - ties - 2 * _inversions(seq)) / n0
     rho = math.sin(math.pi * tau / 2.0)
     return tau, rho
 
@@ -240,8 +258,11 @@ def pseudo_radii(batch: SampleBatch, rho):
 def _top_order_stats(radii, k):
     """(top, n, k, dropped): the top k order statistics of the positive radii,
     ascending, with k capped at n - 1, where n is the number of positive
-    radii and dropped the number of the others."""
+    radii and dropped the number of the others.  A non-finite radius raises
+    DomainError."""
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise DomainError("radii must be finite")
     pos = radii[radii > 0]
     dropped = radii.size - pos.size
     n = pos.size
@@ -291,8 +312,8 @@ def gg_theta(radii, k_n):
 
 def r_hat(radii, theta, k_n):
     """Scale estimate (1/k) sum_i log(n/i) / R_{n-i+1:n}**theta."""
-    if theta <= 0:
-        raise DomainError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
     top, n, k, _ = _top_order_stats(radii, k_n)
     return _scale_from_top(top, n, k, theta)
 

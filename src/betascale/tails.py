@@ -155,7 +155,7 @@ def general_multiplier_tail(H, descriptor, x, mda, kind):
     or {"c": ..., "beta": ...} accordingly.
     """
     b = float(descriptor["beta"])
-    if b < 0 or (kind == "J" and b == 0):
+    if not 0 <= b < math.inf or (kind == "J" and b == 0):
         raise DomainError("descriptor exponent must be nonnegative, and positive for kind J")
     if mda not in ("gumbel", "weibull"):
         raise DomainError("general multiplier predictions cover gumbel and weibull; "
@@ -191,8 +191,8 @@ def fractional_asymptote(H, beta, c, x, mda, kind):
              J ~ G(g+1)/G(b+g) * x**(b-1) * sf(1-x)
              I ~ G(g+1)/G(b+g+1) * x**b * sf(1-x)
     """
-    if beta <= 0:
-        raise DomainError("fractional order must be positive")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"fractional order must be positive and finite, got {beta!r}")
     m = _classed(H, mda, "fractional_asymptote")
     g = m.gamma
     sf = float(H.sf(_point(m, x)))
@@ -225,13 +225,15 @@ def fractional_asymptote(H, beta, c, x, mda, kind):
 
 def rapid_variation_profile(H, w, mu, c, x_grid):
     """(x w(x))**mu * sf(c x)/sf(x) along x_grid; tends to 0 for rapid tails."""
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("mu must be nonnegative")
-    if c <= 1.0:
+    if not c > 1.0:
         raise DomainError("c must exceed 1")
     if math.isfinite(H.upper):
         raise DomainError("rapid variation profile needs an infinite endpoint")
     x = np.asarray(x_grid, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x_grid must be finite")
     sf = np.asarray(H.sf(x), dtype=float)
     if np.any(sf == 0.0):
         raise DomainError("rapid variation profile needs sf(x) > 0 on x_grid")
@@ -246,8 +248,8 @@ def power_transform_w(w: ScalingFunction, p) -> ScalingFunction:
     forms with the exponent divided by p.
     """
     p = float(p)
-    if p <= 0:
-        raise DomainError("power must be positive")
+    if not 0 < p < math.inf:
+        raise DomainError(f"power must be positive and finite, got {p!r}")
     if p == 1.0:
         return w
     if w.fn is None:
@@ -268,8 +270,10 @@ def biased_tail_asymptote(H, q, c, x, kind):
     stationary_excess: c * x**(q-1) * sf(x) / w(x)
     size_biased:       c * x**q * sf(x)
     """
-    if c <= 0:
-        raise DomainError("proportionality constant must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("proportionality constant must be positive and finite")
+    if not math.isfinite(q):
+        raise DomainError(f"order q must be finite, got {q!r}")
     _tail_x(x)
     if kind == "size_biased":
         return c * x ** q * float(H.sf(x))

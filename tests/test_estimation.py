@@ -194,6 +194,23 @@ def test_r_hat_requires_positive_theta():
         r_hat(np.arange(1.0, 50.0), 0.0, 5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_r_hat_rejects_a_non_finite_theta(theta):
+    with pytest.raises(DomainError, match="theta must be positive and finite"):
+        r_hat(np.arange(1.0, 50.0), theta, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fit", [lambda radii: gg_theta(radii, 5),
+                                 lambda radii: r_hat(radii, 2.0, 5)], ids=["gg_theta", "r_hat"])
+def test_tail_fit_rejects_non_finite_radii(fit, bad):
+    """A NaN radius is not dropped as if it were nonpositive."""
+    radii = np.arange(1.0, 50.0)
+    radii[7] = bad
+    with pytest.raises(DomainError, match="radii must be finite"):
+        fit(radii)
+
+
 # ---------------------------------------------------------------------------
 # plug-in estimators
 
@@ -322,6 +339,20 @@ def test_resolve_k_names_a_nonpositive_k_n():
         EstimatorConfig().resolve_k(2)
     assert EstimatorConfig(k_n=5).resolve_k(1000) == 5
     assert EstimatorConfig(k_n=500).resolve_k(1000) == 333
+
+
+@pytest.mark.parametrize("k_n", [10.5, 10.0, "10"])
+def test_resolve_k_rejects_a_non_integer_k_n(k_n):
+    with pytest.raises(DomainError, match=f"k_n must be a positive integer, got {k_n}"):
+        EstimatorConfig(k_n=k_n).resolve_k(1000)
+    assert EstimatorConfig(k_n=np.int64(5)).resolve_k(1000) == 5
+
+
+@pytest.mark.parametrize("pairs", [np.arange(6.0), np.ones((4, 3)), np.ones((3, 2, 2))],
+                         ids=["1-d", "three columns", "3-d"])
+def test_from_pairs_needs_an_n_by_2_array(pairs):
+    with pytest.raises(DomainError, match=r"pairs must be an \(n, 2\) array"):
+        SampleBatch.from_pairs(pairs)
 
 
 def test_pipeline_warns_when_k_n_is_capped():

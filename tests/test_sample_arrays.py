@@ -29,7 +29,9 @@ from betascale import (
     sample_elliptical,
 )
 from betascale.elliptical import _exceed_montecarlo, _half_widths
-from betascale.estimation import _dense_ranks, _inversions, _key_dtype, _top_order_stats
+from betascale import estimation
+from betascale.estimation import (_BLOCK_LEVELS, _inversions, _key_dtype, _right_positions,
+                                  _top_order_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def merge_level_inversions(ranks):
     return count
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 2 ** 16 + 1, 2 ** 18 + 1])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 2 ** 16 + 1, 2 ** 18 + 1])
 @pytest.mark.parametrize("kind", ["tie-heavy", "decreasing", "sorted"])
 def test_inversions_against_merge_levels_at_every_regime_boundary(n, kind):
     """Sizes at the block base's edges (one block, a ragged last block) and at
@@ -153,9 +155,18 @@ def rayleigh_batch():
 
 
 def joint_v_ranks(batch):
-    """The v ranks of the pairs in (u, v) order, as ``kendall_rho`` counts them."""
+    """The v ranks of the pairs in (u, v) order, as ``kendall_rho`` counts
+    them, from a dense ranking of each column and one int64 sort of the keys
+    (u rank, v rank)."""
     n = batch.n
-    key = _dense_ranks(batch.u)[0] * n + _dense_ranks(batch.v)[0]
+    ranks = []
+    for x in (batch.u, batch.v):
+        order = np.argsort(x)
+        xs = x[order]
+        r = np.empty(n, dtype=np.int64)
+        r[order] = np.cumsum(np.append(True, xs[1:] != xs[:-1])) - 1
+        ranks.append(r)
+    key = ranks[0] * n + ranks[1]
     key.sort()
     return key % n
 
@@ -169,10 +180,69 @@ def test_kendall_tau_bit_equal_to_merge_levels_on_200k_pairs():
     assert kendall_rho(batch) == (tau, math.sin(math.pi * tau / 2.0))
 
 
+def oracle_kendall(batch):
+    """(tau, rho) from ``joint_v_ranks`` counted by ``merge_level_inversions``,
+    with the tied pairs counted by ``np.unique`` on each column's ranks and
+    on the pairs' joint keys."""
+    n = batch.n
+    n0 = n * (n - 1) // 2
+    ru, rv = (np.unique(x, return_inverse=True)[1] for x in (batch.u, batch.v))
+
+    def tied(x):
+        counts = np.unique(x, return_counts=True)[1].astype(np.int64)
+        return int(np.sum(counts * (counts - 1) // 2))
+
+    ties = tied(ru) + tied(rv) - tied(ru * n + rv)
+    tau = (n0 - ties - 2 * merge_level_inversions(joint_v_ranks(batch))) / n0
+    return tau, math.sin(math.pi * tau / 2.0)
+
+
+@pytest.fixture(scope="module")
+def rayleigh():
+    return rayleigh_batch()
+
+
+def with_ties(batch, kind):
+    """``batch`` with ties put into u only, v only or both by rounding, or
+    with signed zeros (0.0 and -0.0, which tie) put into both."""
+    u, v = batch.u.copy(), batch.v.copy()
+    if kind == "u":
+        u = np.round(u, 2)
+    elif kind == "v":
+        v = np.round(v, 2)
+    elif kind == "both":
+        u, v = np.round(u, 1), np.round(v, 1)
+    else:
+        u[::5], u[2::5], v[1::7], v[3::7] = 0.0, -0.0, -0.0, 0.0
+    return SampleBatch(u, v)
+
+
+@pytest.mark.parametrize("kind", ["u", "v", "both", "signed zeros"])
+def test_kendall_with_ties_bit_equal_to_merge_levels_on_200k_pairs(rayleigh, kind, monkeypatch):
+    """The tie key sort runs exactly when u has a tied run."""
+    batch = with_ties(rayleigh, kind)
+    sorts = []
+    sort_u_ties = estimation._sort_u_ties
+    monkeypatch.setattr(estimation, "_sort_u_ties",
+                        lambda *args: sorts.append(1) or sort_u_ties(*args))
+    assert kendall_rho(batch) == oracle_kendall(batch)
+    assert len(sorts) == (np.unique(batch.u).size < batch.n) == (kind != "v")
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 2 ** 16 + 1, 2 ** 18 + 1])
+def test_right_positions_closed_form_against_brute_force(n):
+    """The sum of the right-block positions at every merge level s."""
+    pos = np.arange(n)
+    for s in range(max((n - 1).bit_length(), 1)):
+        assert _right_positions(n, s) == int(pos[((pos >> s) & 1).astype(bool)].sum())
+
+
 def kendall_report(repeats=5):
-    """Seconds of kendall_rho on ``rayleigh_batch``, and of ``_inversions``
-    and ``merge_level_inversions`` on its v ranks (best of ``repeats``), then
-    the number of sort passes on int64 and on uint32 keys."""
+    """Seconds of kendall_rho on ``rayleigh_batch``, of its ranking stage
+    alone (with the inversion count stubbed out), and of ``_inversions`` and
+    ``merge_level_inversions`` on its v ranks (best of ``repeats``); then the
+    number of sort passes on int64 and on uint32 keys, and the number of
+    kendall_rho calls that ran the tie key sort."""
     batch = rayleigh_batch()
     ranks = joint_v_ranks(batch)
 
@@ -184,10 +254,19 @@ def kendall_report(repeats=5):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    passes = (batch.n - 1).bit_length() - 4          # one per merge level from level 4 on
+    inversions, sort_u_ties = estimation._inversions, estimation._sort_u_ties
+    tie_sorts = []
+    estimation._sort_u_ties = lambda *args: tie_sorts.append(1) or sort_u_ties(*args)
+    try:
+        kendall_s = best(kendall_rho, batch)
+        estimation._inversions = lambda seq: 0
+        ranking_s = best(kendall_rho, batch)
+    finally:
+        estimation._inversions, estimation._sort_u_ties = inversions, sort_u_ties
+    passes = (batch.n - 1).bit_length() - _BLOCK_LEVELS   # one per merge level above the blocks
     wide = _key_dtype(batch.n) is np.int64
-    return (best(kendall_rho, batch), best(_inversions, ranks),
-            best(merge_level_inversions, ranks), passes * wide, passes * (not wide))
+    return (kendall_s, ranking_s, best(_inversions, ranks), best(merge_level_inversions, ranks),
+            passes * wide, passes * (not wide), len(tie_sorts))
 
 
 # ---------------------------------------------------------------------------

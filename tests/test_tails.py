@@ -346,3 +346,23 @@ def test_max_stability_needs_a_finite_sample_size(n):
     # n = 0 once ended in a ZeroDivisionError
     with pytest.raises(DomainError, match="sample size n must be finite and >= 1"):
         max_stability_check(Exponential(1.0), n)
+
+
+NAN_PARAMETERS = {
+    "fractional beta=nan": lambda: fractional_asymptote(Exponential(1.0), math.nan, 0.0, 2.0,
+                                                        "gumbel", "J"),
+    "biased q=nan": lambda: biased_tail_asymptote(Exponential(1.0), math.nan, 1.0, 2.0,
+                                                  "size_biased"),
+    "general multiplier beta=nan": lambda: general_multiplier_tail(
+        Exponential(1.0), {"C": 1.0, "beta": math.nan}, 2.0, "gumbel", "I"),
+    "power transform p=nan": lambda: power_transform_w(ScalingFunction.power(1.0, 2.0), math.nan),
+    "rapid variation x_grid with nan": lambda: rapid_variation_profile(
+        Exponential(1.0), None, 1.0, 2.0, [1.0, math.nan, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", NAN_PARAMETERS)
+def test_nan_parameter_raises(name):
+    # each of these once returned a number or NaN: 1 ** nan is 1 in Python
+    with pytest.raises(DomainError):
+        NAN_PARAMETERS[name]()
