@@ -157,6 +157,12 @@ def general_multiplier_tail(H, descriptor, x, mda, kind):
     b = float(descriptor["beta"])
     if not 0 <= b < math.inf or (kind == "J" and b == 0):
         raise DomainError("descriptor exponent must be nonnegative, and positive for kind J")
+    if kind not in ("I", "J"):
+        raise DomainError(f"unknown kind {kind!r}")
+    key = "C" if kind == "I" else "c"
+    const = float(descriptor[key])
+    if not math.isfinite(const):
+        raise DomainError(f"descriptor constant {key} must be finite, got {const!r}")
     if mda not in ("gumbel", "weibull"):
         raise DomainError("general multiplier predictions cover gumbel and weibull; "
                           "use predict_frechet for the regularly varying case")
@@ -165,20 +171,13 @@ def general_multiplier_tail(H, descriptor, x, mda, kind):
     if mda == "gumbel":
         wx = float(m.w(x))
         if kind == "I":
-            C = float(descriptor["C"])
-            return C * math.exp(sc.gammaln(1.0 + b)) * sf / (x * wx) ** b
-        if kind == "J":
-            c = float(descriptor["c"])
-            return c * math.exp(sc.gammaln(b)) * sf / (x ** b * wx ** (b - 1.0))
-    elif kind == "I":  # the Weibull class
-        C = float(descriptor["C"])
-        const = C * _lngamma_ratio([b + 1.0, m.gamma + 1.0], [b + m.gamma + 1.0])
+            return const * math.exp(sc.gammaln(1.0 + b)) * sf / (x * wx) ** b
+        return const * math.exp(sc.gammaln(b)) * sf / (x ** b * wx ** (b - 1.0))
+    if kind == "I":  # the Weibull class
+        const *= _lngamma_ratio([b + 1.0, m.gamma + 1.0], [b + m.gamma + 1.0])
         return const * x ** b * sf
-    elif kind == "J":
-        c = float(descriptor["c"])
-        const = c * _lngamma_ratio([b, m.gamma + 1.0], [b + m.gamma])
-        return const * x ** (b - 1.0) * sf
-    raise DomainError(f"unknown kind {kind!r}")
+    const *= _lngamma_ratio([b, m.gamma + 1.0], [b + m.gamma])
+    return const * x ** (b - 1.0) * sf
 
 
 def fractional_asymptote(H, beta, c, x, mda, kind):
@@ -193,6 +192,8 @@ def fractional_asymptote(H, beta, c, x, mda, kind):
     """
     if not 0 < beta < math.inf:
         raise DomainError(f"fractional order must be positive and finite, got {beta!r}")
+    if not math.isfinite(c):
+        raise DomainError(f"power c must be finite, got {c!r}")
     m = _classed(H, mda, "fractional_asymptote")
     g = m.gamma
     sf = float(H.sf(_point(m, x)))

@@ -153,7 +153,8 @@ def test_weyl_density_of_a_tabulated_law_at_small_x():
                                                                rel=1e-8)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 1023, 1025])
+@pytest.mark.parametrize("m", sorted({1, 2, 7, 1023, 1025, fractional._GK_CHUNK - 1,
+                                      fractional._GK_CHUNK, fractional._GK_CHUNK + 1}))
 def test_qk21_row_does_not_depend_on_its_batch(m):
     rng = np.random.default_rng(m)
     f = rng.standard_normal((m, 21)) * rng.uniform(1e-3, 1e3, (m, 1))

@@ -388,6 +388,16 @@ def test_nonfinite_quadrature_result_raises():
         QuadratureConfig().check(math.nan, 0.0, "probe")
 
 
+@pytest.mark.parametrize("bad", [{"rtol": math.nan}, {"rtol": math.inf}, {"rtol": 0.0},
+                                 {"rtol": -1.0}, {"limit": 0}, {"limit": -3},
+                                 {"limit": 2.0}, {"limit": True}])
+def test_quadrature_config_rejects_a_target_it_cannot_hold(bad):
+    # rtol = nan or inf once made every stop test false, so each integral
+    # returned its first round unchecked
+    with pytest.raises(DomainError):
+        QuadratureConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # accuracy gate: a slice of the mixture sweep of ROADMAP item 5
 

@@ -362,16 +362,39 @@ def criterion3_inversions():
     return out
 
 
-def forward_table_rows():
-    """The qk21 rows (subintervals) of the 12 forward tabulations of
-    criterion3_inversions."""
+def test_chunk_size_changes_no_result(monkeypatch):
+    """The 12 criterion-3 forward tabulations (mixture mode) and the (1, 1.6)
+    inversion of one give the same bytes in the engine's chunks as in chunks
+    of 320 rows."""
+    def run():
+        cases = criterion3_inversions()
+        F, alpha, plan, grid = cases[5]  # Exponential(1) at (1, 1.6)
+        G = invert_iterative(F, alpha, plan, grid)
+        return [c[0].values.tobytes() for c in cases], G.grid.tobytes(), G.values.tobytes()
+
+    ours, rows = counting_qk21(monkeypatch, run)
+    # some engine round is larger than 320 rows, so the chunks differ
+    assert max(rows) > 320
+    monkeypatch.setattr(fractional, "_GK_CHUNK", 320)
+    assert run() == ours
+
+
+def forward_table_report(repeats=3):
+    """(the best of ``repeats`` timed runs of the 12 forward tabulations of
+    criterion3_inversions in seconds, inf for none; then the qk21 rows
+    (subintervals) of one more run)."""
+    best = math.inf
+    for _ in range(repeats):
+        t = time.perf_counter()
+        criterion3_inversions()
+        best = min(best, time.perf_counter() - t)
     rows, qk21 = [], fractional._qk21
     fractional._qk21 = lambda f, half: rows.append(len(f)) or qk21(f, half)
     try:
         criterion3_inversions()
     finally:
         fractional._qk21 = qk21
-    return sum(rows)
+    return best, sum(rows)
 
 
 def stage_report(repeats=3, first_round=None):

@@ -355,6 +355,12 @@ NAN_PARAMETERS = {
                                                   "size_biased"),
     "general multiplier beta=nan": lambda: general_multiplier_tail(
         Exponential(1.0), {"C": 1.0, "beta": math.nan}, 2.0, "gumbel", "I"),
+    "general multiplier C=nan": lambda: general_multiplier_tail(
+        Exponential(1.0), {"C": math.nan, "beta": 1.0}, 2.0, "gumbel", "I"),
+    "general multiplier c=nan": lambda: general_multiplier_tail(
+        Exponential(1.0), {"c": math.nan, "beta": 1.0}, 2.0, "gumbel", "J"),
+    "fractional c=nan": lambda: fractional_asymptote(Exponential(1.0), 0.5, math.nan, 2.0,
+                                                     "gumbel", "J"),
     "power transform p=nan": lambda: power_transform_w(ScalingFunction.power(1.0, 2.0), math.nan),
     "rapid variation x_grid with nan": lambda: rapid_variation_profile(
         Exponential(1.0), None, 1.0, 2.0, [1.0, math.nan, 3.0]),
