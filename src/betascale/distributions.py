@@ -10,6 +10,7 @@ cubic interpolant so that densities and quantiles stay well defined.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -197,6 +198,12 @@ class Distribution:
 
     def quantile(self, q):
         raise NotImplementedError
+
+    @functools.cached_property
+    def _median(self):
+        """quantile(0.5) as a float, computed once per law object: the
+        mixture engine's cut scale (scaling._cut_scale)."""
+        return float(self.quantile(0.5))
 
     def isf(self, s):
         """Inverse survivor: the x with sf(x) = s.  The default goes through

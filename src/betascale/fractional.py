@@ -67,16 +67,18 @@ class QuadratureConfig:
     """A relative target: an integral's error estimate is at most rtol*|value|,
     QUADPACK's epsrel rule with no absolute term, and the engine's stop test;
     at most ``limit`` subintervals an integral.  A NaN, infinite or
-    nonpositive rtol, or a limit that is no integer >= 1, raises DomainError."""
+    nonpositive rtol, or a limit that is no integer >= 1, raises DomainError,
+    at construction and on every later assignment."""
     rtol: float = 1e-8
     limit: int = 200
 
-    def __post_init__(self):
-        if not (isinstance(self.rtol, numbers.Real) and 0.0 < self.rtol < math.inf):
-            raise DomainError(f"rtol must be positive and finite, got {self.rtol!r}")
-        if (isinstance(self.limit, bool) or not isinstance(self.limit, numbers.Integral)
-                or self.limit < 1):
-            raise DomainError(f"limit must be an integer >= 1, got {self.limit!r}")
+    def __setattr__(self, name, value):
+        if name == "rtol" and not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            raise DomainError(f"rtol must be positive and finite, got {value!r}")
+        if name == "limit" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                                or value < 1):
+            raise DomainError(f"limit must be an integer >= 1, got {value!r}")
+        super().__setattr__(name, value)
 
     def check(self, value, err, what):
         if not (math.isfinite(value) and math.isfinite(err)):
@@ -194,14 +196,15 @@ def _gauss_kronrod(fn, owner, lo, hi, n, rtol, limit, value=None, parts=1, affin
 
     Integral i is value[i] (an exact part, 0 by default) plus the integrals
     from lo[j] to hi[j] of the pieces j with owner[j] == i; ``fn(j, y)``
-    gives the integrand at an (m, 21) array of nodes y, row r in piece j[r].
-    Each piece runs in t in [0, 1] from ``parts`` equal subintervals: a
-    bounded one by y = lo + w*t**2*(3 - 2t), w = hi - lo, an infinite one by
-    y = lo + ((1 - t)/t)**2.  Their flat ends absorb an inverse-square-root
-    singularity at a piece end, which bisection cannot resolve to 1e-8, and
-    the tail map keeps y**-p bounded in t for p >= 1.5.  An integrand with
-    no such end (``affine``) takes y = lo + w*t on bounded pieces instead,
-    whose constant Jacobian w scales each row's sums.  Every round applies
+    gives the integrand at an (m, 21) array of nodes y, row r in piece j[r],
+    and may overwrite y.  Each piece runs in t in [0, 1] from ``parts``
+    equal subintervals: a bounded one by y = lo + w*t**2*(3 - 2t), w = hi -
+    lo, an infinite one by y = lo + ((1 - t)/t)**2.  Their flat ends absorb
+    an inverse-square-root singularity at a piece end, which bisection
+    cannot resolve to 1e-8, and the tail map keeps y**-p bounded in t for
+    p >= 1.5.  An integrand with no such end (``affine``) takes y = lo +
+    w*t on bounded pieces instead, whose constant Jacobian w scales each
+    row's sums.  Every round applies
     qk21 with QUADPACK's error estimate to the new subintervals (at most
     _GK_CHUNK per call of ``fn``); each integral whose estimate exceeds
     rtol*|value| bisects its largest-error subinterval, as

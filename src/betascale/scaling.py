@@ -113,6 +113,28 @@ def _node_map(alpha, beta, s, scale=None):
     return np.exp(log_b), ratio ** (beta - 1.0) * scale
 
 
+# log of the least normal double: _mixture's floor of log s
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _cut_scale(H):
+    """m of _mixture's cut s_c = K(min(x/m, 1)) for a law H unbounded above,
+    or inf for no cut: the median of a law with l_H = 0
+    (Distribution._median, computed once per law object), and a _Chained
+    level's inner m.  A law with l_H > 0 is not cut: its range ends at
+    K(x/l_H), within about (m/l_H)**alpha of s_c, so the power law that the
+    cut resolves is absent.  Nor is a law without a quantile
+    (NotImplementedError)."""
+    if isinstance(H, _Chained):
+        return _cut_scale(H.inner)
+    if H.lower > 0:
+        return math.inf
+    try:
+        return H._median
+    except NotImplementedError:
+        return math.inf
+
+
 def _mixture(H, alpha, beta, x, kind, cfg, what=None):
     """E[g(x / B)] for B ~ Beta(alpha, beta) at every x of a 1-D array of
     points below H.upper, with g = H.cdf ("cdf"), H.sf ("sf") or
@@ -121,26 +143,37 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
 
     Where x/b lies outside H's support g is constant: g(inf) for b < x/r_H
     and g(0-) for b > x/l_H, pieces that take their exact Beta mass from
-    betainc / betaincc.  The single piece between them runs in b = Q_K(s)
-    (see _node_map), s in [K(x/r_H), K(x/l_H)] with K the Kumaraswamy CDF.
-    All points go through one call of fractional._gauss_kronrod, whose
-    end-flat map of the piece absorbs the inverse-square-root singularity a
-    density can leave at a piece end (Beta(1.5, .5) at r_H).  A tabulated
-    H's knots k, its density's corners, cut the piece at s = K(x/k) as in
-    weyl mode.  fractional._engine_start starts an analytic H's piece as 4
+    betainc / betaincc.  The range between them, s in [s_lo, s_hi] =
+    [K(x/r_H), K(x/l_H)] with K the Kumaraswamy CDF, runs in b = Q_K(s) (see
+    _node_map).  At small x, g(x/b(s)) is a power law in s over many decades
+    above s_c = K(min(x/m, 1)), where x/b crosses H's scale m (r_H, or the
+    median of _cut_scale), which bisection in s resolves one halving a round.
+    So each point's range above s_c runs in log s, its weight times s, and
+    only [s_lo, s_c] stays in s.  For a law bounded above s_c is s_lo and
+    the whole range runs in log s; without an upper bound s_lo is 0, and a
+    point at x >= m, or of a law that _cut_scale leaves uncut, runs wholly
+    in s.  The ends are built in log s, floored at the least normal double,
+    so a range that starts below it drops at most that much mass.  The
+    pieces in s come first.  All points go through one call of
+    fractional._gauss_kronrod, whose end-flat map of a piece absorbs the
+    inverse-square-root singularity a density can leave at a piece end
+    (Beta(1.5, .5) at r_H).  A tabulated H's knots k, its density's
+    corners, cut its range at s = K(x/k) as in weyl mode.
+    fractional._engine_start starts an analytic H's pieces as 4
     subintervals and a tabulated H's pieces whole.  The first failure of
     cfg.check_points in grid order names ``what`` and x.
     """
-    def kumaraswamy_cdf(b):
+    def log_kumaraswamy_cdf(b):
         with np.errstate(divide="ignore"):
-            return -np.expm1(beta * np.log1p(-b ** alpha))
+            return np.maximum(np.log(-np.expm1(beta * np.log1p(-b ** alpha))), _LOG_TINY)
 
-    # K(0) = 0 and K(1) = 1, and the Beta mass beyond either end is 0 there
+    # log s_hi = log K(1) = 0 and log s_lo is floored, and the Beta mass
+    # beyond either end is 0 there
     n = x.size
-    s_lo, s_hi, value = np.zeros(n), np.ones(n), np.zeros(n)
+    lo, hi, value = _LOG_TINY, np.zeros(n), np.zeros(n)
     if math.isfinite(H.upper):
         b_lo = x / H.upper
-        s_lo = kumaraswamy_cdf(b_lo)
+        lo = log_kumaraswamy_cdf(b_lo)
         if kind == "cdf":
             value = sc.betainc(alpha, beta, b_lo)
         elif kind == "pdf" and isinstance(H, PointMass):
@@ -148,23 +181,45 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
             value = np.asarray(Beta(alpha, beta).pdf(b_lo)) / H.upper
     if H.lower > 0:
         b_hi = np.minimum(x / H.lower, 1.0)
-        s_hi = kumaraswamy_cdf(b_hi)
+        hi = log_kumaraswamy_cdf(b_hi)
         if kind == "sf":
             value = sc.betaincc(alpha, beta, b_hi)
-    owner = (s_hi > s_lo).nonzero()[0]
-    s_lo, s_hi, (limit, parts) = s_lo[owner], s_hi[owner], _engine_start(cfg, False)
-    if isinstance(H, TabulatedCdf):  # the interior knots k cut at s = K(min(x/k, 1))
-        cuts = kumaraswamy_cdf(np.minimum(x[owner, None] / H.grid[-2:0:-1], 1.0))
-        edges = np.column_stack([s_lo, cuts, s_hi])
-        piece, j = (edges[:, 1:] > edges[:, :-1]).nonzero()
-        owner, s_lo, s_hi = owner[piece], edges[piece, j], edges[piece, j + 1]
-        limit, parts = _engine_start(cfg, True, owner, n)
+    owner = (hi > lo).nonzero()[0]
+    hi, n_s, (limit, parts) = hi[owner], 0, _engine_start(cfg, False)
+    if math.isfinite(H.upper):  # every piece in log s
+        lo = lo[owner]
+        if isinstance(H, TabulatedCdf):  # the interior knots k cut at K(min(x/k, 1))
+            cuts = log_kumaraswamy_cdf(np.minimum(x[owner, None] / H.grid[-2:0:-1], 1.0))
+            edges = np.column_stack([lo, cuts, hi])
+            piece, j = (edges[:, 1:] > edges[:, :-1]).nonzero()
+            owner, lo, hi = owner[piece], edges[piece, j], edges[piece, j + 1]
+            limit, parts = _engine_start(cfg, True, owner, n)
+    else:  # [0, s_c] in s, then [s_c, s_hi] in log s for the points below m
+        n_s, m = owner.size, _cut_scale(H)
+        lo, s_hi = np.zeros(n_s), np.exp(hi)
+        cut = (x[owner] < m).nonzero()[0] if m < math.inf else ()
+        if len(cut):
+            log_c = log_kumaraswamy_cdf(x[owner[cut]] / m)
+            owner, lo, hi = (np.concatenate([owner, owner[cut]]), np.concatenate([lo, log_c]),
+                             np.concatenate([s_hi, hi[cut]]))
+            hi[cut] = np.exp(log_c)
+        else:
+            hi = s_hi
     empty = 1.0 if kind == "cdf" else 0.0     # g(inf)
     law = getattr(H, kind)
     scale = _kumaraswamy_ratio_scale(alpha, beta)
 
-    def integrand(piece, s):
-        bb, weight = _node_map(alpha, beta, s, scale)
+    logs = n_s < owner.size  # some pieces run in log s
+
+    def integrand(piece, y):
+        # y holds s on the rows of the first n_s pieces and log s on the
+        # others, which become s in place, their weight times ds/dlog s = s
+        if logs:
+            in_log = (piece >= n_s)[:, None] if n_s else True
+            np.exp(y, out=y, where=in_log)
+        bb, weight = _node_map(alpha, beta, y, scale)
+        if logs:
+            np.multiply(weight, y, out=weight, where=in_log)
         with np.errstate(divide="ignore", over="ignore"):
             y = x[owner[piece]][:, None] / bb
         finite = np.isfinite(y)
@@ -176,7 +231,7 @@ def _mixture(H, alpha, beta, x, kind, cfg, what=None):
             vals = vals / bb
         return (vals if whole else np.where(finite, vals, empty)) * weight
 
-    value, error = _gauss_kronrod(integrand, owner, s_lo, s_hi, n, cfg.rtol, limit, value,
+    value, error = _gauss_kronrod(integrand, owner, lo, hi, n, cfg.rtol, limit, value,
                                   parts=parts)
     cfg.check_points(x, value, error, what or (
         "mixture density quadrature" if kind == "pdf" else "mixture quadrature"))
@@ -502,7 +557,8 @@ def chain_forward(H, params, x, cfg=None):
 
 class _Chained:
     """The law of B * Y for Y ~ ``inner`` and B ~ Beta(alpha, beta), as far
-    as the mixture engine uses it: its support and a vectorised CDF."""
+    as the mixture engine uses it: its support, a vectorised CDF and, for
+    its cut scale, the inner law."""
 
     def __init__(self, inner, alpha, beta, cfg, what):
         self.inner, self.alpha, self.beta, self.cfg, self.what = inner, alpha, beta, cfg, what

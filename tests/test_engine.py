@@ -298,8 +298,9 @@ def test_single_weyl_points_take_few_engine_rounds(monkeypatch):
 
 
 def test_single_mixture_points_take_few_engine_rounds(monkeypatch):
-    # the one start rule of both modes: 2.02 rounds a point from two halves
-    assert engine_rounds_per_point(monkeypatch, "mixture") <= 1.5
+    # the one start rule of both modes: 2.02 rounds a point from two halves;
+    # 1.13 (61 calls for 54 points) with each range above its cut in log s
+    assert engine_rounds_per_point(monkeypatch, "mixture") <= 1.15
 
 
 def test_tabulated_stage_starts_from_whole_pieces(monkeypatch):

@@ -13,9 +13,9 @@ from scipy import special as sc
 import betascale.fractional as fr
 import betascale.scaling as scaling
 from betascale import (Beta, DomainError, Distribution, Exponential, Gamma, NumericError, Pareto,
-                       PointMass, QuadratureConfig, Uniform, chain_forward, forward_cdf,
+                       PointMass, QuadratureConfig, Rayleigh, Uniform, chain_forward, forward_cdf,
                        forward_pdf, forward_sf, forward_tabulated)
-from betascale.scaling import _merge_links, _mixture, _node_map
+from betascale.scaling import _Chained, _cut_scale, _merge_links, _mixture, _node_map
 
 GRID = (0.3, 1.0, 2.0, 4.5)
 
@@ -112,6 +112,59 @@ def test_uniform_closed_form_near_origin(alpha, beta):
     ref = sc.betainc(alpha, beta, xs) + xs * c * (1.0 - sc.betainc(alpha - 1.0, beta, xs))
     vals = forward_cdf(Uniform(0.0, 1.0), alpha, beta, xs, mode="mixture")
     assert np.max(np.abs(vals - ref)) <= 1e-10
+
+
+def test_cut_scale_of_each_law():
+    # the median where l_H = 0, a chain level's inner scale, and no cut for
+    # a law with l_H > 0 or without a quantile
+    assert _cut_scale(Exponential(1.0)) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert _cut_scale(Pareto(2.0, 1.0)) == math.inf
+    assert _cut_scale(_One()) == math.inf
+    level = _Chained(Rayleigh(1.0), 2.0, 0.7, QuadratureConfig(), "probe")
+    assert _cut_scale(level) == _cut_scale(Rayleigh(1.0))
+    assert _cut_scale(level) == pytest.approx(math.sqrt(2.0 * math.log(2.0)), rel=1e-15)
+
+
+def test_mixture_pieces_either_side_of_the_cut(monkeypatch):
+    # below the median m a point runs [0, s_c] in s and [s_c, 1] in log s,
+    # s_c = K(x/m); at or above m its whole range runs in s; a bounded law's
+    # range [K(x/r_H), 1] runs in log s
+    seen, engine = [], scaling._gauss_kronrod
+
+    def spy(fn, owner, lo, hi, *args, **kwargs):
+        seen.append((owner.tolist(), lo.tolist(), hi.tolist()))
+        return engine(fn, owner, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "_gauss_kronrod", spy)
+    alpha, beta = 2.0, 0.7
+    K = lambda b: -math.expm1(beta * math.log1p(-b ** alpha))
+    forward_cdf(Exponential(1.0), alpha, beta, np.array([0.1, 2.0]), mode="mixture")
+    forward_cdf(Uniform(0.0, 2.0), alpha, beta, np.array([0.1]), mode="mixture")
+    (owner, lo, hi), (owner_u, lo_u, hi_u) = seen
+    s_c = K(0.1 / math.log(2.0))
+    assert owner == [0, 1, 0] and lo[:2] == [0.0, 0.0] and hi[1:] == [1.0, 0.0]
+    assert hi[0] == pytest.approx(s_c, rel=1e-14)
+    assert lo[2] == pytest.approx(math.log(s_c), rel=1e-14)
+    assert owner_u == [0] and hi_u == [0.0]
+    assert lo_u[0] == pytest.approx(math.log(K(0.05)), rel=1e-14)
+
+
+@pytest.mark.parametrize("x", (1e-100, 1e-170, 1e-300))
+def test_mixture_below_the_least_normal_s(x):
+    # K(x/r_H) and K(x/m) lie below the least normal double from x ~ 1e-154
+    # at alpha = 2: the log ends are floored there, which drops at most that
+    # much mass.  B*E for E ~ Exponential(1) has the cdf x E[1/B] - O(x**2)
+    # and the density E[1/B] at 0+, E[1/B] = (alpha + beta - 1)/(alpha - 1)
+    alpha, beta = 2.0, 0.7
+    c = math.exp(sc.betaln(alpha - 1.0, beta) - sc.betaln(alpha, beta))
+    uniform = sc.betainc(alpha, beta, x) + x * c * (1.0 - sc.betainc(alpha - 1.0, beta, x))
+    assert forward_cdf(Uniform(0.0, 1.0), alpha, beta, x, mode="mixture") == pytest.approx(
+        uniform, rel=1e-10)
+    inverse_mean = (alpha + beta - 1.0) / (alpha - 1.0)
+    assert forward_cdf(Exponential(1.0), alpha, beta, x, mode="mixture") == pytest.approx(
+        x * inverse_mean, rel=1e-10)
+    assert forward_pdf(Exponential(1.0), alpha, beta, x, mode="mixture") == pytest.approx(
+        inverse_mean, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

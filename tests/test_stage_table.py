@@ -379,22 +379,50 @@ def test_chunk_size_changes_no_result(monkeypatch):
     assert run() == ours
 
 
+# the qk21 calls of the 12 forward tabulations of criterion3_inversions, as
+# measured
+FORWARD_QK21_CALLS = 20
+
+
+def forward_table_calls():
+    """[(law, alpha, beta, qk21 calls, qk21 rows)] of the 12 forward
+    tabulations of criterion3_inversions, in its order; a round of at most
+    fractional._GK_CHUNK rows is one call."""
+    out, rows, qk21 = [], [], fractional._qk21
+    fractional._qk21 = lambda f, half: rows.append(len(f)) or qk21(f, half)
+    try:
+        for H in (Uniform(0.0, 1.0), Exponential(1.0), Beta(2.0, 2.0), Rayleigh(1.0)):
+            for alpha, beta in ((1.0, 0.5), (2.0, 0.7), (1.0, 1.6)):
+                rows.clear()
+                forward_tabulated(H, alpha, beta, n_points=240)
+                out.append((type(H).__name__, alpha, beta, len(rows), sum(rows)))
+    finally:
+        fractional._qk21 = qk21
+    return out
+
+
+def test_forward_tables_take_few_engine_rounds():
+    # a bounded law's range runs in log s, where g(x/b) at small x is no
+    # power law over decades: every Uniform and Beta(2,2) table takes one
+    # round (240 points of 4 subintervals, one call)
+    tables = forward_table_calls()
+    for law, alpha, beta, calls, rows in tables:
+        if law in ("Uniform", "Beta"):
+            assert (calls, rows) == (1, 960), (law, alpha, beta)
+    assert sum(t[3] for t in tables) <= FORWARD_QK21_CALLS
+
+
 def forward_table_report(repeats=3):
     """(the best of ``repeats`` timed runs of the 12 forward tabulations of
-    criterion3_inversions in seconds, inf for none; then the qk21 rows
-    (subintervals) of one more run)."""
+    criterion3_inversions in seconds, inf for none; then the qk21 calls and
+    rows (subintervals) of one more run)."""
     best = math.inf
     for _ in range(repeats):
         t = time.perf_counter()
         criterion3_inversions()
         best = min(best, time.perf_counter() - t)
-    rows, qk21 = [], fractional._qk21
-    fractional._qk21 = lambda f, half: rows.append(len(f)) or qk21(f, half)
-    try:
-        criterion3_inversions()
-    finally:
-        fractional._qk21 = qk21
-    return best, sum(rows)
+    tables = forward_table_calls()
+    return best, sum(t[3] for t in tables), sum(t[4] for t in tables)
 
 
 def stage_report(repeats=3, first_round=None):
