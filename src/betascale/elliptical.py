@@ -11,6 +11,7 @@ the radial law has a Gumbel-type tail with scaling function w.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,16 @@ class EllipticalModel:
         return self.radial.scaling_w()
 
 
+def _check_sample_size(n):
+    """n must be an integer >= 1 (numbers.Integral, not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"sample size must be >= 1 and an integer, got {n!r}")
+
+
 def sample_elliptical(m: EllipticalModel, n, seed, stream=0):
-    """n i.i.d. (u, v) pairs: radius from the radial law, angle uniform."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    """n i.i.d. (u, v) pairs: radius from the radial law, angle uniform;
+    n is an integer >= 1."""
+    _check_sample_size(n)
     rng = make_rng(seed, stream)
     r = np.asarray(m.radial.quantile(rng.random(n)), dtype=float)
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -128,36 +135,53 @@ def _arc_overlap(d, a, b):
 
 
 def _half_widths(level, r):
-    """Half-widths of the angle arcs {phi: r*cos(phi) > level} over an array
-    of radii."""
+    """Half-widths arccos(clip(level/r, -1, 1)) of the angle arcs
+    {phi: r*cos(phi) > level}, with pi (level < 0) or 0 where r is not
+    positive: an array for an array of radii, a float for a scalar r."""
     r = np.asarray(r, dtype=float)
+    a = np.empty_like(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.arccos(np.clip(level / r, -1.0, 1.0))
-    return np.where(r > 0.0, a, math.pi if level < 0 else 0.0)
+        np.divide(level, r, out=a)
+        np.clip(a, -1.0, 1.0, out=a)
+        np.arccos(a, out=a)
+    a[~(r > 0.0)] = math.pi if level < 0 else 0.0
+    return float(a) if a.ndim == 0 else a
 
 
 def _importance_draws(m: EllipticalModel, x, n, rng):
     """(r, a, v): n radii drawn from R | R > x, the half-widths a of their
     arcs {phi: r*cos(phi) > x}, and V at an angle uniform inside each arc.
     A draw stands for mass proportional to a; draws with an empty arc are
-    dropped."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    dropped.  The stream is all n uniforms for the radii, then one angle
+    uniform per kept radius.  V = r*sin(phi + asin(rho)), which equals
+    r*(rho*cos(phi) + sqrt(1-rho^2)*sin(phi)) as cos(asin(rho)) =
+    sqrt(1-rho^2): one sine a draw, and the passes over u, phi and v work
+    in place."""
+    _check_sample_size(n)
     sx = float(m.radial.sf(x))
     if sx <= 0.0:
         raise DomainError("conditioning event has probability below floating-point range")
     # R | R > x on the survivor scale: sf(R) uniform on (0, sf(x)).  Inverting
     # the cdf instead would collapse once sf(x) drops under machine epsilon.
+    # A zero uniform becomes the least positive double: the draws are
+    # multiples of 2**-53, so the maximum changes nothing else.
     u = rng.random(n)
-    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    r = np.asarray(m.radial.isf(sx * u), dtype=float)
+    np.maximum(u, np.nextafter(0.0, 1.0), out=u)
+    u *= sx
+    r = np.asarray(m.radial.isf(u), dtype=float)
     a = _half_widths(x, r)
     ok = a > 0
-    r, a = r[ok], a[ok]
+    if np.count_nonzero(ok) < a.size:
+        r, a = r[ok], a[ok]
     if r.size == 0:
         raise NumericError("no usable radii in importance sample; lower x")
-    phi = (2.0 * rng.random(r.size) - 1.0) * a
-    v = r * (m.rho * np.cos(phi) + math.sqrt(1.0 - m.rho ** 2) * np.sin(phi))
+    v = rng.random(r.size)
+    v *= 2.0
+    v -= 1.0
+    v *= a                       # the angle phi, uniform on (-a, a)
+    v += math.asin(m.rho)
+    np.sin(v, out=v)
+    v *= r
     return r, a, v
 
 
@@ -183,7 +207,7 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
         return _arc_overlap(phi0, _half_widths(x, r), _half_widths(y, r))
 
     if isinstance(m.radial, PointMass):
-        den = 2.0 * float(_half_widths(x, m.radial.c))
+        den = 2.0 * _half_widths(x, m.radial.c)
         if den == 0.0:
             raise DomainError("conditioning event has probability zero")
         return float(joint_arc(m.radial.c)) / den
@@ -197,16 +221,21 @@ def _exceed_quadrature(m: EllipticalModel, x, y, cfg):
     return min(max(num / den, 0.0), 1.0)
 
 
+def _exceed_sample(m: EllipticalModel, x, y, n, seed):
+    """(estimate, a, hit): P(V > y | U > x) from n importance draws, with
+    the draws' arc half-widths a and whether each V exceeds y."""
+    _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=1))
+    hit = v > y
+    return float(np.sum(a * hit)) / float(np.sum(a)), a, hit
+
+
 def _exceed_montecarlo(m: EllipticalModel, x, y, n, seed):
     """(estimate, standard error) of P(V > y | U > x) from n importance
     draws: R | R > x, each weighted by its arc half-width, the angle uniform
     inside the arc.  Valid at every x: below 0 the radii are unconditioned."""
-    _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=1))
-    hit = v > y
-    den = float(np.sum(a))
-    est = float(np.sum(a * hit)) / den
-    # self-normalised weights w = a/den: var = sum w**2 (1{v > y} - est)**2
-    se = math.sqrt(max(float(np.sum((a / den) ** 2 * (hit - est) ** 2)), 1e-16))
+    est, a, hit = _exceed_sample(m, x, y, n, seed)
+    # self-normalised weights w = a/sum(a): var = sum w**2 (1{v > y} - est)**2
+    se = math.sqrt(max(float(np.sum((a / float(np.sum(a))) ** 2 * (hit - est) ** 2)), 1e-16))
     return est, se
 
 
@@ -214,11 +243,11 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
                           n=100_000, seed=0, cfg=None):
     """P(V > y | U > x), by angular-arc quadrature or Monte Carlo.
 
-    The Monte Carlo path is one importance sampler at every x: n >= 1 radii
-    from R | R > x, each weighted by its arc half-width arccos(x/R) (pi for
-    R <= -x), the angle uniform inside the arc.  It returns only the
-    estimate; ``_exceed_montecarlo`` also gives the self-normalised standard
-    error.
+    The Monte Carlo path is one importance sampler at every x: n radii
+    from R | R > x, n an integer >= 1, each weighted by its arc half-width
+    arccos(x/R) (pi for R <= -x), the angle uniform inside the arc.  It
+    forms only the estimate; ``_exceed_montecarlo`` also forms the
+    self-normalised standard error.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("conditioning level and threshold must be finite")
@@ -226,8 +255,7 @@ def conditional_sf_exceed(m: EllipticalModel, x, y, method="quadrature",
     if method == "quadrature":
         return _exceed_quadrature(m, x, y, cfg)
     if method == "montecarlo":
-        est, _ = _exceed_montecarlo(m, x, y, n, seed)
-        return est
+        return _exceed_sample(m, x, y, n, seed)[0]
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -244,38 +272,81 @@ def gaussian_approx_sf(m: EllipticalModel, x, y, w=None):
     return float(sc.ndtr(-z))
 
 
+def _grid_bins(t_grid, z):
+    """Bin index k of each z over a strictly increasing grid, the one with
+    t_{k-1} < z <= t_k: 0 at or below t_0, len(t_grid) above its end and for
+    a NaN z.  A guess from the grid's span, then moved one bin at a time
+    until no index moves, which is exact on any increasing grid."""
+    size = t_grid.size
+    # bin k is (lo[k], hi[k]]; lo[0] is NaN, which no z moves below
+    lo = np.concatenate(([math.nan], t_grid))
+    hi = np.concatenate((t_grid, [math.inf]))
+    with np.errstate(all="ignore"):       # the guess may overflow; the moves make it exact
+        g = z - t_grid[0]
+        if size > 1:
+            g *= (size - 1) / (t_grid[-1] - t_grid[0])
+        np.ceil(g, out=g)
+        np.fmin(g, size, out=g)           # a NaN guess goes to the top bin
+        np.maximum(g, 0.0, out=g)
+    k = g.astype(np.intp)
+    up = np.take(hi, k, out=g) < z        # g's buffer holds the edges read at k
+    down = np.take(lo, k, out=g) >= z
+    moving = np.flatnonzero(up | down)
+    up = up[moving]
+    while moving.size:                    # each moving z is either up or down
+        k[moving] += np.where(up, 1, -1)
+        km, zm = k[moving], z[moving]
+        up = hi[km] < zm
+        keep = up | (lo[km] >= zm)
+        moving, up = moving[keep], up[keep]
+    return k
+
+
+def _weighted_ecdf(t_grid, z, a):
+    """Share of the weights a whose z is <= t, at each t of t_grid: the
+    cumulative sums of the bin weights, with no sort of z."""
+    cw = np.cumsum(np.bincount(_grid_bins(t_grid, z), weights=a, minlength=t_grid.size + 1))
+    return cw[:-1] / cw[-1]
+
+
 def convergence_diagnostic(m: EllipticalModel, x_grid, t_grid=None,
                            n=100_000, seed=0, w=None):
     """Sup-distance to the standard normal at each conditioning level.
 
     Returns (exceed_sup, point_sup): the Monte-Carlo CDF distance for the
     exceedance-conditioned standardized variable, and the quadrature CDF
-    distance for the point-conditioned density.
+    distance for the point-conditioned density, both over ``t_grid``.
+    t_grid must be a non-empty, finite, strictly increasing 1-D grid and n
+    an integer >= 1; both are checked before any sampling.  The weighted
+    ECDF at t_k is the cumulative weight of the bins t_{j-1} < z <= t_j,
+    j <= k, each summed by np.bincount: the draws are not sorted.
     """
     if isinstance(m.radial, PointMass):
         raise NoDensityError("diagnostic needs an absolutely continuous radial law")
     x_grid = np.asarray(x_grid, dtype=float)
     if not np.all((x_grid > 0) & (x_grid < math.inf)):
         raise DomainError("conditioning levels must be positive and finite")
-    w = w or m.scaling_w()
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
+    if not (t_grid.ndim == 1 and t_grid.size and np.all(np.isfinite(t_grid))
+            and np.all(np.diff(t_grid) > 0)):
+        raise DomainError("t_grid must be a non-empty, finite, strictly increasing 1-D grid")
+    _check_sample_size(n)
+    w = w or m.scaling_w()
     rho_c = math.sqrt(1.0 - m.rho ** 2)
+    ndtr_t = sc.ndtr(t_grid)
     exceed_sup, point_sup = [], []
     for ix, x in enumerate(x_grid):
         cx = math.sqrt(float(w(x)) / x)
-        # exceedance side: weighted sample of V given U > x
-        _, a, v = _importance_draws(m, x, n, make_rng(seed, stream=100 + ix))
-        z = cx * (v - m.rho * x) / rho_c
-        order = np.argsort(z)
-        z_sorted = z[order]
-        cw = np.concatenate(([0.0], np.cumsum(a[order])))   # weight of z <= t
-        emp = cw[np.searchsorted(z_sorted, t_grid, side="right")] / cw[-1]
-        sup = float(np.max(np.abs(emp - sc.ndtr(t_grid)), initial=0.0))
-        exceed_sup.append(sup)
+        # exceedance side: weighted sample of V given U > x, standardized in place
+        _, a, z = _importance_draws(m, x, n, make_rng(seed, stream=100 + ix))
+        z -= m.rho * x
+        z *= cx
+        z /= rho_c
+        exceed_sup.append(float(np.max(np.abs(_weighted_ecdf(t_grid, z, a) - ndtr_t))))
         # point side: integrate the exact conditional density
         dens = conditional_density_point(m, x, t_grid, w=w)
         # CDF at t_grid by trapezoid from the left edge, anchored at Phi(t_0)
         cdf = float(sc.ndtr(t_grid[0])) + np.concatenate(
             [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t_grid))])
-        point_sup.append(float(np.max(np.abs(cdf - sc.ndtr(t_grid)))))
+        point_sup.append(float(np.max(np.abs(cdf - ndtr_t))))
     return np.array(exceed_sup), np.array(point_sup)

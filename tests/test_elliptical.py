@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +29,8 @@ from betascale import (
     mda_classify,
     sample_elliptical,
 )
+from betascale.distributions import make_rng
+from betascale.elliptical import DEFAULT_T_GRID
 
 GAUSS = EllipticalModel(rho=0.0, radial=Rayleigh(1.0))
 
@@ -240,6 +243,58 @@ def test_exceed_deep_tail_importance_sampling():
     assert 0.0 < val < 1.0
 
 
+# (model, x, y, estimate, standard error) of _exceed_montecarlo at n = 100,000
+# and seed 5, captured with V = r*(rho*cos(phi) + sqrt(1-rho^2)*sin(phi)); the
+# one-sine form r*sin(phi + asin(rho)) gives the same floats, bit for bit
+PINNED_MC = [
+    (EllipticalModel(0.5, Rayleigh(1.0)), 4.0, 2.3, 0.41644538013208976, 0.0017511125337874923),
+    (EllipticalModel(0.5, Rayleigh(1.0)), 4.5, 2.55, 0.41162173229481247, 0.0017537412081542344),
+    (EllipticalModel(0.5, Rayleigh(1.0)), 5.0, 2.8, 0.40761755550783124, 0.0017555856219162275),
+    (EllipticalModel(0.5, Rayleigh(1.0)), -1.0, -0.2, 0.6390614558950971, 0.0015417742013247877),
+    (EllipticalModel(0.5, Rayleigh(1.0)), 0.5, 0.55, 0.508050310636076, 0.0016198732059428294),
+    (EllipticalModel(0.0, PointMass(1.0)), 0.5, 0.5, 0.25045, 0.001370126992289401),
+]
+
+
+@pytest.mark.parametrize("m, x, y, est, se", PINNED_MC)
+def test_montecarlo_estimates_are_pinned(m, x, y, est, se):
+    assert elliptical._exceed_montecarlo(m, x, y, 100_000, 5) == (est, se)
+    assert conditional_sf_exceed(m, x, y, method="montecarlo", n=100_000, seed=5) == est
+
+
+def test_public_montecarlo_forms_no_standard_error(monkeypatch):
+    monkeypatch.setattr(elliptical, "_exceed_montecarlo", lambda *a: pytest.fail("formed the SE"))
+    m, x, y, est, _ = PINNED_MC[1]
+    assert conditional_sf_exceed(m, x, y, method="montecarlo", n=100_000, seed=5) == est
+
+
+def test_importance_draws_keep_the_random_stream():
+    # all n radius uniforms first, then one angle uniform per kept radius;
+    # V is r*sin(phi + asin(rho)) to a few ulp of the cos/sin form
+    m = EllipticalModel(-0.3, Rayleigh(1.0))
+    r, a, v = elliptical._importance_draws(m, 1.5, 1000, make_rng(9, stream=1))
+    rng = make_rng(9, stream=1)
+    u = rng.random(1000)
+    assert np.array_equal(r, m.radial.isf(m.radial.sf(1.5) * u))
+    assert np.array_equal(a, np.arccos(1.5 / r))
+    phi = (2.0 * rng.random(1000) - 1.0) * a
+    ref = r * (-0.3 * np.cos(phi) + math.sqrt(1.0 - 0.09) * np.sin(phi))
+    assert np.max(np.abs(v - ref) / r) <= 4e-16
+
+
+def test_half_widths_of_a_scalar_radius_is_a_float():
+    # the quadrature's point-mass path takes the half-width of one radius
+    hw = elliptical._half_widths(0.5, 1.0)
+    assert type(hw) is float and hw == elliptical._half_widths(0.5, np.array([1.0]))[0]
+    assert hw == pytest.approx(math.acos(0.5), rel=1e-15)
+    assert type(elliptical._half_widths(0.5, np.float64(2.0))) is float
+    assert elliptical._half_widths(-1.0, 0.0) == math.pi
+    assert elliptical._half_widths(0.0, 0.0) == 0.0
+    assert elliptical._half_widths(2.0, 1.0) == 0.0
+    arr = elliptical._half_widths(0.5, np.array([0.0, 1.0, 0.25]))
+    assert isinstance(arr, np.ndarray) and np.array_equal(arr, [0.0, hw, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # Gaussian approximation and diagnostics
 
@@ -297,6 +352,79 @@ def test_convergence_diagnostic_checks_levels_before_sampling(bad, monkeypatch):
         convergence_diagnostic(GAUSS, [2.0, bad])
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, math.nan], [1.0, -1.0, 0.0], [], [0.0, math.inf],
+                                    [0.0, 0.0, 1.0], [[0.0, 1.0]], 0.5])
+def test_convergence_diagnostic_checks_the_t_grid_before_sampling(t_grid, monkeypatch):
+    monkeypatch.setattr(elliptical, "_importance_draws", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(DomainError, match="t_grid must be a non-empty, finite, strictly increasing"):
+        convergence_diagnostic(GAUSS, [2.0], t_grid=t_grid)
+
+
+@pytest.mark.parametrize("n", [1.5, True, 0, -3, "10", None, 100.0])
+def test_sample_sizes_are_integers_of_at_least_one(n, monkeypatch):
+    m = EllipticalModel(0.5, Rayleigh(1.0))
+    match = "sample size must be >= 1 and an integer"
+    with pytest.raises(DomainError, match=match):
+        sample_elliptical(m, n, seed=1)
+    with pytest.raises(DomainError, match=match):
+        conditional_sf_exceed(m, 2.0, 1.0, method="montecarlo", n=n)
+    monkeypatch.setattr(elliptical, "_importance_draws", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(DomainError, match=match):
+        convergence_diagnostic(GAUSS, [2.0], n=n)
+
+
+def test_sample_sizes_take_numpy_integers():
+    m = EllipticalModel(0.5, Rayleigh(1.0))
+    assert sample_elliptical(m, np.int64(7), seed=1).shape == (7, 2)
+    assert conditional_sf_exceed(m, 2.0, 1.0, method="montecarlo", n=np.int32(1)) in (0.0, 1.0)
+    assert convergence_diagnostic(GAUSS, [2.0], n=np.uint8(50))[0].shape == (1,)
+
+
+def _argsort_ecdf(t_grid, z, a):
+    """Share of the weights a whose z is <= t at each t of t_grid, by
+    sorting z and summing each prefix of the sorted weights exactly."""
+    order = np.argsort(z)
+    ws = a[order]
+    ends = np.searchsorted(z[order], t_grid, side="right")
+    return np.array([math.fsum(ws[:e]) for e in ends]) / math.fsum(a)
+
+
+@pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID,
+                                    np.array([-2.5, -1.0, -0.3, 0.0, 0.2, 1.7, 4.0]),
+                                    np.array([-1e-3, 0.0, 1e-3, 1e-2, 1.0, 100.0]),
+                                    np.array([-100.0, -1.0, -1e-2, -1e-3, 0.0, 1e-3]),
+                                    np.array([0.4])],
+                         ids=["default", "two-signed", "low-clustered", "high-clustered",
+                              "one-point"])
+def test_bin_count_ecdf_matches_the_argsort_form(t_grid):
+    # the bin indices match searchsorted exactly.  The oracle sums each
+    # prefix exactly; the bin sums are sequential, so their rounding grows
+    # with the draws in a bin: 4.4e-16 here at most, 1.8e-15 at 100k draws,
+    # where np.cumsum over the sorted weights is off by up to 4.8e-15
+    m = EllipticalModel(0.5, Kotz(1.0, 0.0, 1.0, 1.0))
+    _, a, v = elliptical._importance_draws(m, 3.0, 20_000, make_rng(32, stream=100))
+    z = (v - 1.5) / 0.6
+    z[:t_grid.size] = t_grid                # a z on t_k counts in bin k
+    bins = elliptical._grid_bins(t_grid, z)
+    assert np.array_equal(bins, np.searchsorted(t_grid, z, side="left"))
+    assert np.array_equal(bins[:t_grid.size], np.arange(t_grid.size))
+    emp = elliptical._weighted_ecdf(t_grid, z, a)
+    assert np.max(np.abs(emp - _argsort_ecdf(t_grid, z, a))) <= 1e-15
+
+
+def test_grid_bins_at_the_ends_and_for_nan():
+    t_grid = np.array([-1.0, 0.5, 2.0])
+    z = np.array([-math.inf, -1.0, np.nextafter(-1.0, 0.0), 0.5, 2.0, 2.5, math.inf, math.nan])
+    assert elliptical._grid_bins(t_grid, z).tolist() == [0, 0, 1, 1, 2, 3, 3, 3]
+    # grids whose span overflows or whose step is subnormal: the guess is
+    # inf or NaN, and the moves still end in the right bins
+    z = np.array([-math.inf, -1e308, 0.0, 5e-324, 1e-300, 1e308, math.inf, math.nan])
+    for t_grid in (np.array([-1e308, 0.0, 1e308]), np.array([0.0, 5e-324, 1e-323])):
+        assert np.array_equal(elliptical._grid_bins(t_grid, z[:-1]),
+                              np.searchsorted(t_grid, z[:-1], side="left"))
+        assert elliptical._grid_bins(t_grid, z)[-1] == t_grid.size
+
+
 def test_convergence_diagnostic_pointmass_rejected():
     with pytest.raises((DomainError, NoDensityError)):
         convergence_diagnostic(EllipticalModel(0.0, PointMass(1.0)), [1.0, 2.0])
@@ -310,3 +438,22 @@ def test_abs_u_marginal_classifies_gumbel():
     emp = np.searchsorted(au, grid, side="right") / au.size
     tab = TabulatedCdf(grid, emp, rectify=True)
     assert mda_classify(tab).label == "gumbel"
+
+
+def importance_report(repeats=5):
+    """(ms per 100k draws of ``_importance_draws`` on a Rayleigh(1) radial
+    at rho = 0.5 and x = 4.5, ms per level of ``convergence_diagnostic`` on
+    GAUSS at x = 2 and 4 with 100k draws), each the best of ``repeats``."""
+    m = EllipticalModel(0.5, Rayleigh(1.0))
+
+    def best(fn):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return min(times) * 1e3
+
+    draws_ms = best(lambda: elliptical._importance_draws(m, 4.5, 100_000, make_rng(1, stream=1)))
+    level_ms = best(lambda: convergence_diagnostic(GAUSS, [2.0, 4.0], n=100_000, seed=1)) / 2
+    return draws_ms, level_ms
